@@ -1,13 +1,13 @@
 // Simulator-throughput microbenchmark (not a paper figure): how fast does
 // the interpreter itself retire work? Reports warp-instructions/sec and
-// blocks/sec for four workloads across all three dispatch engines
-// (GPC_SIM_DISPATCH = switch | threaded | simd):
+// blocks/sec for four workloads on the min-PC oracle and on the production
+// engine:
 //
 //   MxM(convergent)  — tiled SGEMM; every warp stays on the fast path, the
 //                      unrolled inner loop is mad+ld.shared dominated.
 //   BFS(divergent)   — frontier expansion with data-dependent trip counts;
 //                      warps split and run on the reconvergence-stack cohort
-//                      scheduler (min-PC when the cohort engine is off).
+//                      scheduler.
 //   Bitonic(divergent) — shared-memory bitonic sort tail; every sub-stage
 //                      splits warps on a data-dependent compare-exchange,
 //                      so the time goes to divergent ALU/shared handlers
@@ -17,20 +17,23 @@
 //   SpMV(memory)     — CSR scalar kernel, global-gather bound; convergent
 //                      control flow but the time goes to the memory path.
 //
-// One min-PC reference row per workload (fast path off) anchors the speedup
-// columns. Emits BENCH_sim_throughput.json with a "dispatch" field per
-// sample for tracking.
+// The oracle row per workload anchors the speedup column. Emits
+// BENCH_sim_throughput.json with an "engine" field per sample and a "host"
+// record (nproc, simulator threads, build type, compiler, commit).
 //
-// Perf-smoke support: --write-floor=FILE stores 80% of the measured simd
-// MxM(convergent) throughput; --floor-check=FILE re-measures and fails
-// (exit 1) if throughput dropped below the stored floor (the
+// Perf-smoke support: --write-floor=FILE stores 80% of the measured
+// production MxM(convergent) throughput; --floor-check=FILE re-measures and
+// fails (exit 1) if throughput dropped below the stored floor (the
 // sim_throughput_floor ctest; tools/rebaseline_sim_floor.sh re-baselines).
-// --workload= / --dispatch= filter the sweep for profiling runs.
+// Both measure the production engine only. --workload= filters the sweep
+// for profiling runs.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "arch/device_spec.h"
@@ -38,8 +41,8 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/table.h"
+#include "common/thread_pool.h"
 #include "harness/session.h"
-#include "sim/dispatch.h"
 #include "sim/interp.h"
 
 namespace gpc {
@@ -47,7 +50,7 @@ namespace {
 
 struct Sample {
   std::string workload;
-  std::string dispatch;  // "minpc" for the fast-path-off reference
+  std::string engine;  // "oracle" or "production"
   double seconds = 0;
   std::uint64_t warp_instructions = 0;
   std::uint64_t blocks = 0;
@@ -64,7 +67,7 @@ std::uint64_t warp_instructions(const sim::BlockStats& s) {
 
 /// Convergent workload: one tiled-SGEMM launch per rep. All lanes of every
 /// warp share one PC throughout (uniform trip counts, barriers).
-Sample run_mxm(const std::string& dispatch, double scale) {
+Sample run_mxm(const std::string& engine, double scale) {
   const int tile = 16;
   const int n = std::max(tile, static_cast<int>(256 * scale) / tile * tile);
   const int reps = 4;
@@ -82,7 +85,7 @@ Sample run_mxm(const std::string& dispatch, double scale) {
       sim::KernelArg::ptr(da), sim::KernelArg::ptr(db),
       sim::KernelArg::ptr(dc), sim::KernelArg::s32(n)};
 
-  Sample out{"MxM(convergent)", dispatch};
+  Sample out{"MxM(convergent)", engine};
   const auto t0 = std::chrono::steady_clock::now();
   for (int r = 0; r < reps; ++r) {
     auto lr = s.launch(ck, {n / tile, n / tile, 1}, {tile, tile, 1}, args);
@@ -97,7 +100,7 @@ Sample run_mxm(const std::string& dispatch, double scale) {
 /// Divergent workload: BFS frontier expansion with every vertex in the
 /// frontier and a random visited mask — branchy, data-dependent inner loops
 /// that keep warps split across PCs.
-Sample run_bfs(const std::string& dispatch, double scale) {
+Sample run_bfs(const std::string& engine, double scale) {
   const int block = 256;
   int n = std::max(block, static_cast<int>(65536 * scale) / block * block);
   const int degree = 8;
@@ -132,7 +135,7 @@ Sample run_bfs(const std::string& dispatch, double scale) {
       sim::KernelArg::ptr(d_visited),  sim::KernelArg::ptr(d_cost),
       sim::KernelArg::s32(n)};
 
-  Sample out{"BFS(divergent)", dispatch};
+  Sample out{"BFS(divergent)", engine};
   double total = 0;
   for (int r = 0; r < reps; ++r) {
     // The kernel clears the frontier; restore it so every rep does the
@@ -155,7 +158,7 @@ Sample run_bfs(const std::string& dispatch, double scale) {
 /// every iteration, and almost all the work is register/shared-memory
 /// traffic rather than the (mode-invariant) global-memory model. Random
 /// keys keep the swap guard close to 50/50, which maximises splits.
-Sample run_bitonic(const std::string& dispatch, double scale) {
+Sample run_bitonic(const std::string& engine, double scale) {
   const int block = 128;
   const int per_block = 2 * block;
   int n = std::max(per_block,
@@ -177,7 +180,7 @@ Sample run_bitonic(const std::string& dispatch, double scale) {
       sim::KernelArg::ptr(d_keys), sim::KernelArg::ptr(d_vals),
       sim::KernelArg::s32(block), sim::KernelArg::s32(per_block)};
 
-  Sample out{"Bitonic(divergent)", dispatch};
+  Sample out{"Bitonic(divergent)", engine};
   double total = 0;
   for (int r = 0; r < reps; ++r) {
     // The kernel sorts in place; restore the random keys so every rep has
@@ -200,7 +203,7 @@ Sample run_bitonic(const std::string& dispatch, double scale) {
 /// a banded x[] gather, so throughput is set by the memory handlers
 /// (exec_memory + account_global), not the ALU path. Uniform 32-nnz rows
 /// keep control flow convergent.
-Sample run_spmv(const std::string& dispatch, double scale) {
+Sample run_spmv(const std::string& engine, double scale) {
   const int block = 128;
   int n = std::max(block, static_cast<int>(8192 * scale) / block * block);
   const int nnz_per_row = 32;
@@ -236,7 +239,7 @@ Sample run_spmv(const std::string& dispatch, double scale) {
       sim::KernelArg::ptr(d_vals),   sim::KernelArg::ptr(d_x),
       sim::KernelArg::ptr(d_y),      sim::KernelArg::s32(n)};
 
-  Sample out{"SpMV(memory)", dispatch};
+  Sample out{"SpMV(memory)", engine};
   const auto t0 = std::chrono::steady_clock::now();
   for (int r = 0; r < reps; ++r) {
     auto lr = s.launch(ck, {n / block, 1, 1}, {block, 1, 1}, args);
@@ -248,6 +251,23 @@ Sample run_spmv(const std::string& dispatch, double scale) {
   return out;
 }
 
+/// The commit the binary was run from (`git describe --always --dirty`),
+/// or "unknown" outside a git checkout.
+std::string commit() {
+  std::string out;
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> p(
+      popen("git describe --always --dirty --abbrev=12 2>/dev/null", "r"),
+      pclose);
+  if (p) {
+    char buf[128];
+    while (std::fgets(buf, sizeof(buf), p.get())) out += buf;
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
+    out.pop_back();
+  }
+  return out.empty() ? "unknown" : out;
+}
+
 void write_json(const std::vector<Sample>& samples, const char* path) {
   std::FILE* f = std::fopen(path, "w");
   if (!f) {
@@ -255,19 +275,24 @@ void write_json(const std::vector<Sample>& samples, const char* path) {
     return;
   }
   std::fprintf(f, "{\n  \"benchmark\": \"sim_throughput\",\n");
+  std::fprintf(f,
+               "  \"host\": {\"nproc\": %u, \"sim_threads\": %zu, "
+               "\"build_type\": \"%s\", \"compiler\": \"%s\", "
+               "\"commit\": \"%s\"},\n",
+               std::thread::hardware_concurrency(),
+               std::max<std::size_t>(1, ThreadPool::shared().size()),
+               GPC_BUILD_TYPE, GPC_COMPILER, commit().c_str());
   std::fprintf(f, "  \"unit\": {\"instr_per_sec\": \"warp-instructions/sec\", "
                   "\"blocks_per_sec\": \"blocks/sec\"},\n");
   std::fprintf(f, "  \"samples\": [\n");
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const Sample& s = samples[i];
     std::fprintf(f,
-                 "    {\"workload\": \"%s\", \"dispatch\": \"%s\", "
-                 "\"fast_path\": %s, "
+                 "    {\"workload\": \"%s\", \"engine\": \"%s\", "
                  "\"seconds\": %.6f, \"warp_instructions\": %llu, "
                  "\"blocks\": %llu, \"instr_per_sec\": %.3e, "
                  "\"blocks_per_sec\": %.3e}%s\n",
-                 s.workload.c_str(), s.dispatch.c_str(),
-                 s.dispatch == "minpc" ? "false" : "true", s.seconds,
+                 s.workload.c_str(), s.engine.c_str(), s.seconds,
                  static_cast<unsigned long long>(s.warp_instructions),
                  static_cast<unsigned long long>(s.blocks), s.instr_per_sec(),
                  s.blocks_per_sec(), i + 1 < samples.size() ? "," : "");
@@ -298,21 +323,20 @@ int main(int argc, char** argv) {
   using namespace gpc;
   const auto args = benchbin::parse_args(argc, argv);
 
-  std::string only_workload, only_dispatch, floor_check, write_floor;
+  std::string only_workload, floor_check, write_floor;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--workload=", 11) == 0) {
       only_workload = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--dispatch=", 11) == 0) {
-      only_dispatch = argv[i] + 11;
     } else if (std::strncmp(argv[i], "--floor-check=", 14) == 0) {
       floor_check = argv[i] + 14;
     } else if (std::strncmp(argv[i], "--write-floor=", 14) == 0) {
       write_floor = argv[i] + 14;
     }
   }
+  const bool floor_mode = !write_floor.empty() || !floor_check.empty();
 
   benchbin::heading(
-      "Extra — simulator throughput (4 workloads x dispatch engines)");
+      "Extra — simulator throughput (4 workloads x oracle/production)");
 
   struct Workload {
     const char* key;
@@ -322,64 +346,47 @@ int main(int argc, char** argv) {
                                 {"bfs", run_bfs},
                                 {"bitonic", run_bitonic},
                                 {"spmv", run_spmv}};
-  const sim::DispatchMode modes[] = {sim::DispatchMode::Switch,
-                                     sim::DispatchMode::Threaded,
-                                     sim::DispatchMode::Simd};
 
   std::vector<Sample> samples;
   for (const Workload& w : workloads) {
     if (!only_workload.empty() && only_workload != w.key) continue;
-    // Min-PC reference: fast path off forces the scalar scheduler for every
-    // warp regardless of dispatch mode.
-    if (only_dispatch.empty() || only_dispatch == "minpc") {
+    // The oracle: fast path off runs every warp on the min-PC scheduler.
+    if (!floor_mode) {
       sim::set_convergent_fast_path(false);
-      sim::set_dispatch_mode(sim::DispatchMode::Switch);
-      samples.push_back(w.run("minpc", args.scale));
+      samples.push_back(w.run("oracle", args.scale));
     }
     sim::set_convergent_fast_path(true);
-    for (const sim::DispatchMode m : modes) {
-      if (!only_dispatch.empty() && only_dispatch != sim::to_string(m)) {
-        continue;
-      }
-      sim::set_dispatch_mode(m);
-      samples.push_back(w.run(sim::to_string(m), args.scale));
-    }
+    samples.push_back(w.run("production", args.scale));
   }
-  sim::set_convergent_fast_path(true);
-  sim::set_dispatch_mode(sim::DispatchMode::Simd);
 
-  TextTable t({"Workload", "Dispatch", "sec", "Minstr/sec", "blocks/sec"});
+  TextTable t({"Workload", "Engine", "sec", "Minstr/sec", "blocks/sec"});
   for (const Sample& s : samples) {
-    t.add_row({s.workload, s.dispatch, benchbin::fmt(s.seconds, 4),
+    t.add_row({s.workload, s.engine, benchbin::fmt(s.seconds, 4),
                benchbin::fmt(s.instr_per_sec() / 1e6, 2),
                benchbin::fmt(s.blocks_per_sec(), 0)});
   }
   std::printf("%s", t.to_string("Interpreter throughput").c_str());
 
-  // Speedup of each engine over the min-PC reference, per workload.
-  for (const Sample& ref : samples) {
-    if (ref.dispatch != "minpc") continue;
-    for (const Sample& s : samples) {
-      if (s.workload == ref.workload && s.dispatch != "minpc") {
-        std::printf("%s %s vs min-PC: %.2fx\n", ref.workload.c_str(),
-                    s.dispatch.c_str(), ref.seconds / s.seconds);
-      }
+  // Speedup of production over the oracle, per workload.
+  for (std::size_t i = 0; i + 1 < samples.size(); ++i) {
+    const Sample& ref = samples[i];
+    const Sample& s = samples[i + 1];
+    if (ref.engine == "oracle" && s.workload == ref.workload) {
+      std::printf("%s production vs oracle: %.2fx\n", ref.workload.c_str(),
+                  ref.seconds / s.seconds);
     }
   }
 
-  if (!write_floor.empty() || !floor_check.empty()) {
-    const Sample* simd_mxm = nullptr;
+  if (floor_mode) {
+    const Sample* mxm = nullptr;
     for (const Sample& s : samples) {
-      if (s.workload == "MxM(convergent)" && s.dispatch == "simd") {
-        simd_mxm = &s;
-      }
+      if (s.workload == "MxM(convergent)") mxm = &s;
     }
-    if (!simd_mxm) {
-      std::fprintf(stderr,
-                   "floor modes need the MxM(convergent)/simd sample\n");
+    if (!mxm) {
+      std::fprintf(stderr, "floor modes need the MxM(convergent) sample\n");
       return 2;
     }
-    const double measured = simd_mxm->instr_per_sec() / 1e6;
+    const double measured = mxm->instr_per_sec() / 1e6;
     if (!write_floor.empty()) {
       std::FILE* f = std::fopen(write_floor.c_str(), "w");
       if (!f) {
@@ -390,7 +397,7 @@ int main(int argc, char** argv) {
       // while still catching real dispatch-path regressions.
       std::fprintf(f,
                    "{\n  \"workload\": \"MxM(convergent)\",\n"
-                   "  \"dispatch\": \"simd\",\n"
+                   "  \"engine\": \"production\",\n"
                    "  \"measured_minstr_per_sec\": %.3f,\n"
                    "  \"floor_minstr_per_sec\": %.3f\n}\n",
                    measured, 0.8 * measured);
@@ -409,7 +416,7 @@ int main(int argc, char** argv) {
       // is below the floor so the common (passing) case stays cheap.
       double best = measured;
       for (int attempt = 2; best < floor && attempt <= 3; ++attempt) {
-        const Sample retry = run_mxm("simd", args.scale);
+        const Sample retry = run_mxm("production", args.scale);
         const double again = retry.instr_per_sec() / 1e6;
         std::printf("floor check: attempt %d measured %.2f Minstr/sec\n",
                     attempt, again);
@@ -420,8 +427,8 @@ int main(int argc, char** argv) {
                   best, floor, best == measured ? "1" : "3");
       if (best < floor) {
         std::fprintf(stderr,
-                     "FAIL: simd MxM throughput %.2f Minstr/sec is below "
-                     "the stored floor %.2f (ratio %.2fx; best of 3 runs; "
+                     "FAIL: production MxM throughput %.2f Minstr/sec is "
+                     "below the stored floor %.2f (ratio %.2fx; best of 3 runs; "
                      "tools/rebaseline_sim_floor.sh re-baselines after "
                      "intentional changes)\n",
                      best, floor, best / floor);

@@ -1,14 +1,15 @@
 // AIWC feature table (gpc::aiwc, DESIGN.md §16): per-kernel architecture-
 // independent workload characterization for every registered real-world
-// benchmark, in both front-ends, under all three dispatch engines.
+// benchmark, in both front-ends, on the production engine and the min-PC
+// oracle.
 //
 // Three outputs:
 //  1. The per-kernel feature table (the AIWC paper's Table-of-features
-//     analogue) for the default simd engine, one row per kernel per
+//     analogue) from the production engine, one row per kernel per
 //     front-end.
 //  2. The engine-identity audit: the FNV-1a digest of every kernel's raw
-//     features must be bit-identical across switch/threaded/simd — the
-//     observability face of the dispatch bit-identity contract. Any
+//     features must be bit-identical between production and the oracle —
+//     the observability face of the engine bit-identity contract. Any
 //     mismatch is listed and the binary exits non-zero.
 //  3. The gap-correlation table: per benchmark, the GTX480 performance
 //     ratio (fig03's quantity) next to the issue-weighted OpenCL-minus-CUDA
@@ -32,15 +33,16 @@
 #include "bench_util.h"
 #include "common/table.h"
 #include "prof/prof.h"
-#include "sim/dispatch.h"
+#include "sim/interp.h"
 
 namespace {
 using namespace gpc;
 
-constexpr int kNumEngines = 3;
-const sim::DispatchMode kEngines[kNumEngines] = {
-    sim::DispatchMode::Switch, sim::DispatchMode::Threaded,
-    sim::DispatchMode::Simd};
+// Engine 0 is the min-PC oracle, engine 1 production (the one hook that
+// selects them is sim::set_convergent_fast_path).
+constexpr int kNumEngines = 2;
+constexpr int kProduction = 1;
+const char* const kEngineNames[kNumEngines] = {"oracle", "production"};
 
 double metric(const std::vector<aiwc::Metric>& m, const char* name) {
   for (const aiwc::Metric& x : m) {
@@ -50,10 +52,10 @@ double metric(const std::vector<aiwc::Metric>& m, const char* name) {
 }
 
 /// Everything we keep per (benchmark, front-end, kernel). Raw features are
-/// discarded after each run; only the digest (identity audit) and the simd
-/// run's finalized metrics (tables, JSON) survive.
+/// discarded after each run; only the digest (identity audit) and the
+/// production run's finalized metrics (tables, JSON) survive.
 struct KernelRow {
-  std::vector<aiwc::Metric> metrics;  // from the simd-engine run
+  std::vector<aiwc::Metric> metrics;  // from the production run
   std::uint64_t issues = 0;
   std::uint64_t digest[kNumEngines] = {};
   bool seen[kNumEngines] = {};
@@ -103,13 +105,13 @@ int main(int argc, char** argv) {
   opts.scale = args.scale;
   const arch::DeviceSpec device = arch::gtx480();
 
-  // data[fe][bench][kernel]; results[fe][bench] from the simd run.
+  // data[fe][bench][kernel]; results[fe][bench] from the production run.
   std::map<std::string, std::map<std::string, KernelRow>> data[2];
   std::map<std::string, bench::Result> results[2];
   const auto& benchmarks = bench::real_world_benchmarks();
 
   for (int e = 0; e < kNumEngines; ++e) {
-    sim::set_dispatch_mode(kEngines[e]);
+    sim::set_convergent_fast_path(e == kProduction);
     for (int fe = 0; fe < 2; ++fe) {
       const arch::Toolchain tc =
           fe == 0 ? arch::Toolchain::Cuda : arch::Toolchain::OpenCl;
@@ -120,22 +122,21 @@ int main(int argc, char** argv) {
           KernelRow& row = data[fe][b->name()][kernel];
           row.digest[e] = raw.digest();
           row.seen[e] = true;
-          if (kEngines[e] == sim::DispatchMode::Simd) {
+          if (e == kProduction) {
             row.metrics = aiwc::finalize(raw);
             row.issues = raw.total_issues();
           }
         }
-        if (kEngines[e] == sim::DispatchMode::Simd) {
+        if (e == kProduction) {
           results[fe][b->name()] = r;
         }
       }
     }
   }
-  sim::set_dispatch_mode(sim::DispatchMode::Simd);
   prof::recorder().clear();
   prof::recorder().set_modes(prev_modes);
 
-  // ---- 1. Per-kernel feature table (simd engine; identical on all). ----
+  // ---- 1. Per-kernel feature table (production; identical on the oracle).
   for (int fe = 0; fe < 2; ++fe) {
     const char* fe_name = fe == 0 ? "CUDA" : "OpenCL";
     TextTable t({"App.", "Kernel", "Opc H", "Flop %", "Br H", "Div %",
@@ -156,7 +157,7 @@ int main(int argc, char** argv) {
       }
     }
     std::printf("%s", t.to_string(std::string(fe_name) +
-                                  " per-kernel AIWC features (simd engine)")
+                                  " per-kernel AIWC features (production engine)")
                           .c_str());
   }
 
@@ -175,7 +176,7 @@ int main(int argc, char** argv) {
           std::printf("MISMATCH %s %s/%s digests:", fe == 0 ? "CUDA" : "OpenCL",
                       bname.c_str(), kname.c_str());
           for (int e = 0; e < kNumEngines; ++e) {
-            std::printf(" %s=%016llx%s", sim::to_string(kEngines[e]),
+            std::printf(" %s=%016llx%s", kEngineNames[e],
                         static_cast<unsigned long long>(row.digest[e]),
                         row.seen[e] ? "" : "(missing)");
           }
@@ -186,7 +187,7 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\nEngine identity: %d per-kernel feature vectors x 2 front-ends, "
-      "digests %s across switch/threaded/simd.\n",
+      "digests %s across oracle/production.\n",
       rows, mismatches == 0 ? "bit-identical" : "NOT IDENTICAL");
 
   // ---- 3. Gap correlation: |1 - PR| vs OpenCL-minus-CUDA feature deltas. --

@@ -11,9 +11,9 @@
 // Determinism contract: every datum collected here is an integral count
 // keyed by a static program location or an address, merged across blocks,
 // sub-launches (split/preempted grids) and tenants by order-independent
-// sums. Because every dispatch engine (switch / threaded / simd, min-PC and
-// cohort schedulers) issues the same warp-instruction sequence with the same
-// lane sets — the bit-identity contract locked by tests/dispatch_test.cpp —
+// sums. Because the production engine (convergent path and cohort scheduler)
+// issues the same warp-instruction sequence with the same lane sets as the
+// min-PC oracle — the bit-identity contract locked by tests/dispatch_test.cpp —
 // the merged Features of one logical launch are bit-identical no matter how
 // the launch was executed. Floating-point derived features are computed only
 // at finalize() time from the raw integers, iterating sorted keys, so they

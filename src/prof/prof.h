@@ -76,11 +76,10 @@ struct LaunchRecord {
   /// unvirtualized launch. Tenant launches land on per-tenant rows (tid =
   /// tenant + 1) of the runtime's device track in the Chrome trace.
   int tenant = -1;
-  /// Dispatch/fusion provenance (LaunchStats): the sim::DispatchMode the
-  /// launch ran under and the decode pass's static fusion census, exported
-  /// per launch in counters.jsonl alongside the dynamic instruction mix
-  /// (BlockStats::xkind_issues) and fused-execution counters.
-  int dispatch = 0;
+  /// Fusion provenance (LaunchStats): the decode pass's static fusion
+  /// census, exported per launch in counters.jsonl alongside the dynamic
+  /// instruction mix (BlockStats::xkind_issues) and fused-execution
+  /// counters.
   std::uint32_t static_ops = 0;
   std::uint32_t static_fused_ops = 0;
   std::uint32_t static_fused_groups[4] = {};

@@ -220,7 +220,6 @@ void Recorder::record_launch(arch::Toolchain tc, const std::string& device,
   ev.launch->blocks = stats.blocks;
   ev.launch->threads_per_block = stats.threads_per_block;
   ev.launch->tenant = tenant;
-  ev.launch->dispatch = stats.dispatch;
   ev.launch->static_ops = stats.static_ops;
   ev.launch->static_fused_ops = stats.static_fused_ops;
   for (int p = 0; p < sim::kNumFusedPatterns; ++p) {

@@ -12,7 +12,6 @@
 #include "common/log.h"
 #include "prof/prof.h"
 #include "sim/decode.h"
-#include "sim/dispatch.h"
 
 namespace gpc::prof {
 namespace {
@@ -242,12 +241,10 @@ bool Recorder::write_counters_jsonl(const std::string& path) const {
         c.dram_write_bytes, c.dram_transactions, c.useful_global_bytes,
         c.local_bytes, c.tex_requests, c.tex_hits, c.l1_hits,
         c.atomic_serial_ops, c.flops);
-    // Dispatch provenance + instruction mix (Issue 7): which engine ran the
-    // launch, the dynamic per-XKind issue mix (mode-invariant), how many
-    // superinstruction groups actually executed fused (mode-dependent), and
-    // the decode pass's static fusion census of the kernel.
-    std::fprintf(f, ",\"dispatch\":\"%s\",\"xkind_issues\":{",
-                 sim::to_string(static_cast<sim::DispatchMode>(l.dispatch)));
+    // Instruction mix: the dynamic per-XKind issue mix (engine-invariant),
+    // how many superinstruction groups actually executed fused (zero on the
+    // oracle), and the decode pass's static fusion census of the kernel.
+    std::fprintf(f, ",\"xkind_issues\":{");
     for (int k = 0; k < sim::kNumXKinds; ++k) {
       std::fprintf(f, "%s\"%s\":%" PRIu64, k == 0 ? "" : ",",
                    sim::to_string(static_cast<sim::XKind>(k)),

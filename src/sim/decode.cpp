@@ -36,58 +36,8 @@ MOp make_operand(const Operand& o, Type t) {
   return m;
 }
 
-/// Position of a float opcode within GPC_XOP_FLOAT_OPS, or -1.
-int float_op_index(Opcode op) {
-  switch (op) {
-    case Opcode::Add: return 0;
-    case Opcode::Sub: return 1;
-    case Opcode::Mul: return 2;
-    case Opcode::Div: return 3;
-    case Opcode::Mad: return 4;
-    case Opcode::Fma: return 5;
-    case Opcode::Neg: return 6;
-    case Opcode::Abs: return 7;
-    case Opcode::Min: return 8;
-    case Opcode::Max: return 9;
-    case Opcode::Sqrt: return 10;
-    case Opcode::Rsqrt: return 11;
-    case Opcode::Rcp: return 12;
-    case Opcode::Sin: return 13;
-    case Opcode::Cos: return 14;
-    case Opcode::Ex2: return 15;
-    case Opcode::Lg2: return 16;
-    default: return -1;
-  }
-}
+}  // namespace
 
-/// Position of an integer opcode within GPC_XOP_INT_OPS, or -1.
-int int_op_index(Opcode op) {
-  switch (op) {
-    case Opcode::Add: return 0;
-    case Opcode::Sub: return 1;
-    case Opcode::Mul: return 2;
-    case Opcode::MulHi: return 3;
-    case Opcode::Div: return 4;
-    case Opcode::Rem: return 5;
-    case Opcode::Mad: return 6;
-    case Opcode::Neg: return 7;
-    case Opcode::Abs: return 8;
-    case Opcode::Min: return 9;
-    case Opcode::Max: return 10;
-    case Opcode::And: return 11;
-    case Opcode::Or: return 12;
-    case Opcode::Xor: return 13;
-    case Opcode::Not: return 14;
-    case Opcode::Shl: return 15;
-    case Opcode::Shr: return 16;
-    default: return -1;
-  }
-}
-
-/// Widened handler index for the threaded dispatcher: (kind, op, type)
-/// collapsed into one dense XOp. Combinations outside the typed handler
-/// lists (e.g. predicate-typed arithmetic) fall back to ComputeOther, which
-/// routes through the generic exec_compute path.
 XOp xop_for(const MicroOp& m) {
   switch (m.kind) {
     case XKind::Bra: return XOp::Bra;
@@ -117,31 +67,37 @@ XOp xop_for(const MicroOp& m) {
         case Type::U64: return XOp::SetpU64;
         default: return XOp::ComputeOther;
       }
-    case XKind::FloatOp: {
-      const int fi = float_op_index(m.op);
-      if (fi < 0 || (m.type != Type::F32 && m.type != Type::F64)) {
-        return XOp::ComputeOther;
+    case XKind::FloatOp:
+      if (m.type != Type::F32 && m.type != Type::F64) break;
+      switch (m.op) {
+#define GPC_X(name, ...)                                                  \
+  case Opcode::name:                                                      \
+    return m.type == Type::F32 ? XOp::F32##name : XOp::F64##name;
+        GPC_XOP_FLOAT_OPS(GPC_X)
+#undef GPC_X
+        default: break;
       }
-      // GPC_XOP_FLOAT_OPS interleaves F32/F64 per op, stride 2.
-      return static_cast<XOp>(static_cast<int>(XOp::F32Add) + 2 * fi +
-                              (m.type == Type::F64 ? 1 : 0));
-    }
-    case XKind::IntOp: {
-      const int ii = int_op_index(m.op);
-      int ti;
-      switch (m.type) {
-        case Type::S32: ti = 0; break;
-        case Type::U32: ti = 1; break;
-        case Type::U64: ti = 2; break;
-        default: ti = -1; break;
+      break;
+    case XKind::IntOp:
+      if (m.type != Type::S32 && m.type != Type::U32 && m.type != Type::U64) {
+        break;
       }
-      if (ii < 0 || ti < 0) return XOp::ComputeOther;
-      // GPC_XOP_INT_OPS interleaves S32/U32/U64 per op, stride 3.
-      return static_cast<XOp>(static_cast<int>(XOp::S32Add) + 3 * ii + ti);
-    }
+      switch (m.op) {
+#define GPC_X(name, ...)                                                  \
+  case Opcode::name:                                                      \
+    return m.type == Type::S32   ? XOp::S32##name                         \
+           : m.type == Type::U32 ? XOp::U32##name                         \
+                                 : XOp::U64##name;
+        GPC_XOP_INT_OPS(GPC_X)
+#undef GPC_X
+        default: break;
+      }
+      break;
   }
   return XOp::ComputeOther;
 }
+
+namespace {
 
 // ---------------------------------------------------------------------------
 // Superinstruction fusion (paper Table V idioms). Fusion is IN PLACE: the

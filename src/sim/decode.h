@@ -11,15 +11,15 @@
 // On top of XKind the decode pass assigns every micro-op a *widened*
 // execution opcode (XOp) that bakes the operation AND the operating type
 // into a single dense handler index — `FloatOp`+`Opcode::Add`+`F32` is one
-// XOp — so the threaded dispatcher (sim/interp_threaded.cpp) jumps straight
+// XOp — so the production engine (sim/interp_threaded.cpp) jumps straight
 // to a type-specialised handler with no inner switches. A fusion pass then
 // recognises the paper's Table V address idioms (the cvt/and/shl/add chains
 // and mul/add pairs the OpenCL front end re-expands per address, and the
 // setp/bra compare-and-branch) and marks each group head with a
 // superinstruction XOp. Fusion never moves or removes micro-ops: interior
 // ops stay in place with their ordinary XOp (branches into the middle of a
-// group are excluded by construction, and the min-PC scheduler keeps using
-// the per-op XKind), so provenance (micro-op indices), branch targets, and
+// group are excluded by construction, and the min-PC oracle runs each op's
+// own XOp, see xop_for), so provenance (micro-op indices), branch targets, and
 // the divergent path are untouched. Fused handlers replay the component
 // ops' issue-class/flop/step accounting one by one, which is why every
 // counter stays bit-identical to unfused execution.
@@ -33,6 +33,7 @@
 
 #include "compiler/compiled_kernel.h"
 #include "ir/function.h"
+#include "sim/op_semantics.h"
 
 namespace gpc::sim {
 
@@ -85,24 +86,17 @@ enum class IssueClass : std::uint8_t { Alu, IAlu, Agu, Mad, Mul, Sfu };
   X(ComputeOther)                                                         \
   X(FusedAddrGen) X(FusedShlAdd) X(FusedMulAdd) X(FusedSetpBra)
 
-// Float arithmetic: every opcode exists as an F32 and an F64 handler.
-#define GPC_XOP_FLOAT_OPS(X)                                              \
-  X(Add) X(Sub) X(Mul) X(Div) X(Mad) X(Fma) X(Neg) X(Abs) X(Min) X(Max)  \
-  X(Sqrt) X(Rsqrt) X(Rcp) X(Sin) X(Cos) X(Ex2) X(Lg2)
-
-// Integer arithmetic: every opcode exists as an S32, U32 and U64 handler.
-#define GPC_XOP_INT_OPS(X)                                                \
-  X(Add) X(Sub) X(Mul) X(MulHi) X(Div) X(Rem) X(Mad) X(Neg) X(Abs)       \
-  X(Min) X(Max) X(And) X(Or) X(Xor) X(Not) X(Shl) X(Shr)
-
+// Float and integer arithmetic (sim/op_semantics.h rows): every float op
+// exists as an F32 and an F64 handler, every integer op as an S32, U32 and
+// U64 handler.
 enum class XOp : std::uint16_t {
 #define GPC_X(name) name,
   GPC_XOP_BASIC(GPC_X)
 #undef GPC_X
-#define GPC_X(name) F32##name, F64##name,
+#define GPC_X(name, ...) F32##name, F64##name,
   GPC_XOP_FLOAT_OPS(GPC_X)
 #undef GPC_X
-#define GPC_X(name) S32##name, U32##name, U64##name,
+#define GPC_X(name, ...) S32##name, U32##name, U64##name,
   GPC_XOP_INT_OPS(GPC_X)
 #undef GPC_X
   Count,
@@ -146,7 +140,7 @@ struct MicroOp {
   std::uint8_t flops = 0;     // per-lane flop count
   bool type_is_float = false;
   bool guard_negated = false;
-  /// Widened handler index for the threaded dispatcher. For the head of a
+  /// Widened handler index for the production engine. For the head of a
   /// fused group this is the superinstruction XOp; interior ops keep their
   /// ordinary XOp (direct entry at an interior pc executes them unfused).
   XOp xop = XOp::Exit;
@@ -187,6 +181,12 @@ struct DecodedProgram final : compiler::KernelCache {
   /// never depends on this table.
   std::vector<std::int32_t> rpc;
 };
+
+/// The op's own widened handler index: (kind, op, type) collapsed into one
+/// dense XOp, ignoring fusion (a fusion head's MicroOp::xop names its
+/// superinstruction instead). Combinations outside the typed rows (e.g.
+/// predicate-typed logic) map to ComputeOther, the runtime-typed fallback.
+XOp xop_for(const MicroOp& m);
 
 /// Decodes one function (exposed for tests; most callers want `decoded`).
 /// Runs the superinstruction fusion pass unless `fuse` is false (tests use

@@ -3,18 +3,16 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "common/error.h"
 #include "resil/fault.h"
+#include "sim/op_semantics.h"
 #include "sim/value_codec.h"
 
 namespace gpc::sim {
 
-using ir::CmpOp;
 using ir::Opcode;
 using ir::Type;
 
@@ -23,10 +21,7 @@ namespace {
 constexpr std::uint64_t kStepBudget = 8ull << 30;  // runaway-kernel backstop
 constexpr int kTexLineBytes = 32;
 
-std::atomic<bool> g_fast_path{[] {
-  const char* e = std::getenv("GPC_SIM_FASTPATH");
-  return !(e && e[0] == '0' && e[1] == '\0');
-}()};
+std::atomic<bool> g_fast_path{true};
 
 /// Operand fetch against the pre-decoded stream: a register-slot load or the
 /// immediate already encoded for this use site by the decode pass.
@@ -104,7 +99,6 @@ BlockExecutor::BlockExecutor(const arch::DeviceSpec& spec,
   arena_.splat.resize(static_cast<std::size_t>(wsz) * 3);
 
   budget_ = config.step_budget > 0 ? config.step_budget : kStepBudget;
-  dispatch_ = dispatch_mode();
   if (sanitizer != nullptr) {
     bsan_ = std::make_unique<BlockSanitizer>(
         *sanitizer, wsz, arena_.shared.size(), block_id.x, block_id.y,
@@ -115,8 +109,6 @@ BlockExecutor::BlockExecutor(const arch::DeviceSpec& spec,
   }
 
   fast_path_ = convergent_fast_path_enabled();
-  cohort_path_ = fast_path_ && dispatch_ != DispatchMode::Switch &&
-                 cohort_scheduler_enabled() && cohort_engine_available();
   const int nwarps = (threads + wsz - 1) / wsz;
   warps_.resize(nwarps);
   for (int w = 0; w < nwarps; ++w) {
@@ -658,338 +650,143 @@ void BlockExecutor::exec_memory(Warp& w, const MicroOp& m, const int* lanes,
 
 void BlockExecutor::exec_compute(Warp& w, const MicroOp& m, const int* lanes,
                                  int n) {
-  const int width = w.width;
-  std::uint64_t* regs = w.regs;
-  auto dst_slot = [&](int lane) -> std::uint64_t& {
-    return regs[static_cast<std::size_t>(m.dst) * width + lane];
-  };
-
-  // Issue-class accounting (one issue per warp instruction), precomputed by
-  // the decode pass.
-  switch (m.issue) {
-    case IssueClass::Alu: stats_.alu_issues++; break;
-    case IssueClass::IAlu: stats_.ialu_issues++; break;
-    case IssueClass::Agu: stats_.agu_issues++; break;
-    case IssueClass::Mad: stats_.mad_issues++; break;
-    case IssueClass::Mul: stats_.mul_issues++; break;
-    case IssueClass::Sfu: stats_.sfu_issues++; break;
-  }
-  stats_.flops += static_cast<double>(m.flops) * static_cast<double>(n);
+  count_issue(m, n);
   if (m.dst < 0) return;  // no writeback target; accounting above stands
 
-  const Type t = m.type;
-  switch (m.kind) {
-    case XKind::ReadSReg:
-      for (int i = 0; i < n; ++i) {
-        const int l = lanes[i];
-        dst_slot(l) = enc_int(
-            Type::S32, static_cast<std::int64_t>(sreg_value(m.sreg, w, l)));
-      }
-      return;
-    case XKind::Mov:
-      for (int i = 0; i < n; ++i) {
-        const int l = lanes[i];
-        dst_slot(l) = fetch(m.a, regs, width, l);
-      }
-      return;
-    case XKind::Cvt: {
-      if (ir::is_float(m.src_type)) {
-        for (int i = 0; i < n; ++i) {
-          const int l = lanes[i];
-          const double v = dec_float(m.src_type, fetch(m.a, regs, width, l));
-          dst_slot(l) = m.type_is_float
-                            ? enc_float(t, v)
-                            : enc_int(t, static_cast<std::int64_t>(v));
-        }
-      } else {
-        for (int i = 0; i < n; ++i) {
-          const int l = lanes[i];
-          const std::int64_t v =
-              dec_int(m.src_type, fetch(m.a, regs, width, l));
-          dst_slot(l) = m.type_is_float
-                            ? enc_float(t, static_cast<double>(v))
-                            : enc_int(t, v);
-        }
-      }
-      return;
+  const int width = w.width;
+  std::uint64_t* const regs = w.regs;
+  std::uint64_t* const d = regs + static_cast<std::size_t>(m.dst) * width;
+  if (m.kind == XKind::ReadSReg) {
+    for (int i = 0; i < n; ++i) {
+      const int l = lanes[i];
+      d[l] = enc_int(Type::S32,
+                     static_cast<std::int64_t>(sreg_value(m.sreg, w, l)));
     }
-    case XKind::SetP: {
-      for (int i = 0; i < n; ++i) {
-        const int l = lanes[i];
-        const std::uint64_t ra = fetch(m.a, regs, width, l);
-        const std::uint64_t rb = fetch(m.b, regs, width, l);
-        bool r;
-        if (m.type_is_float) {
-          const double x = dec_float(t, ra), y = dec_float(t, rb);
-          switch (m.cmp) {
-            case CmpOp::Eq: r = x == y; break;
-            case CmpOp::Ne: r = x != y; break;
-            case CmpOp::Lt: r = x < y; break;
-            case CmpOp::Le: r = x <= y; break;
-            case CmpOp::Gt: r = x > y; break;
-            default: r = x >= y; break;
-          }
-        } else if (t == Type::U32 || t == Type::U64) {
-          const std::uint64_t x = t == Type::U32 ? (ra & 0xFFFFFFFFull) : ra;
-          const std::uint64_t y = t == Type::U32 ? (rb & 0xFFFFFFFFull) : rb;
-          switch (m.cmp) {
-            case CmpOp::Eq: r = x == y; break;
-            case CmpOp::Ne: r = x != y; break;
-            case CmpOp::Lt: r = x < y; break;
-            case CmpOp::Le: r = x <= y; break;
-            case CmpOp::Gt: r = x > y; break;
-            default: r = x >= y; break;
-          }
-        } else {
-          const std::int64_t x = dec_int(t, ra), y = dec_int(t, rb);
-          switch (m.cmp) {
-            case CmpOp::Eq: r = x == y; break;
-            case CmpOp::Ne: r = x != y; break;
-            case CmpOp::Lt: r = x < y; break;
-            case CmpOp::Le: r = x <= y; break;
-            case CmpOp::Gt: r = x > y; break;
-            default: r = x >= y; break;
-          }
-        }
-        dst_slot(l) = r ? 1 : 0;
-      }
+    return;
+  }
+  std::uint64_t* const sp0 = arena_.splat.data();
+  const std::uint64_t* a = lane_src(m.a, regs, width, sp0);
+  const std::uint64_t* b = lane_src(m.b, regs, width, sp0 + spec_.warp_size);
+  const std::uint64_t* c =
+      lane_src(m.c, regs, width, sp0 + 2 * spec_.warp_size);
+  const auto divz = [&] {
+    note_div_by_zero(m);
+    return 0;
+  };
+  // A fusion head's xop names its superinstruction; the oracle always runs
+  // the op itself.
+  switch (m.fused_len != 0 ? xop_for(m) : m.xop) {
+    case XOp::Mov: lanes_apply<true>(lanes, n, d, mov_lane, a); return;
+    case XOp::SelP: lanes_apply<true>(lanes, n, d, selp_lane, a, b, c); return;
+#define GPC_X(name, expr)                                                 \
+  case XOp::Cvt##name:                                                    \
+    lanes_apply<true>(lanes, n, d, cvt::name{m.src_type, m.type}, a);     \
+    return;
+    GPC_CVT_OPS(GPC_X)
+#undef GPC_X
+#define GPC_X(T)                                                          \
+  case XOp::Setp##T:                                                      \
+    setp_typed<true, Type::T>(m.cmp, lanes, n, d, a, b);                  \
+    return;
+    GPC_X(F32) GPC_X(F64) GPC_X(S32) GPC_X(U32) GPC_X(U64)
+#undef GPC_X
+#define GPC_X(name, expr)                                                 \
+  case XOp::F32##name:                                                    \
+    row_lanes<true, fop::name, Type::F32>(divz, lanes, n, d, a, b, c);    \
+    return;                                                               \
+  case XOp::F64##name:                                                    \
+    row_lanes<true, fop::name, Type::F64>(divz, lanes, n, d, a, b, c);    \
+    return;
+    GPC_XOP_FLOAT_OPS(GPC_X)
+#undef GPC_X
+#define GPC_X(name, expr64, expr32)                                       \
+  case XOp::S32##name:                                                    \
+    row_lanes<true, iop::name, Type::S32>(divz, lanes, n, d, a, b, c);    \
+    return;                                                               \
+  case XOp::U32##name:                                                    \
+    row_lanes<true, iop::name, Type::U32>(divz, lanes, n, d, a, b, c);    \
+    return;                                                               \
+  case XOp::U64##name:                                                    \
+    row_lanes<true, iop::name, Type::U64>(divz, lanes, n, d, a, b, c);    \
+    return;
+    GPC_XOP_INT_OPS(GPC_X)
+#undef GPC_X
+    case XOp::ComputeOther:
+      exec_compute_other(m, lanes, n, d, a, b, c);
       return;
-    }
-    case XKind::SelP:
-      for (int i = 0; i < n; ++i) {
-        const int l = lanes[i];
-        const bool p = (fetch(m.a, regs, width, l) & 1) != 0;
-        dst_slot(l) = p ? fetch(m.b, regs, width, l)
-                        : fetch(m.c, regs, width, l);
-      }
-      return;
-    case XKind::FloatOp: {
-      for (int i = 0; i < n; ++i) {
-        const int l = lanes[i];
-        const double a = dec_float(t, fetch(m.a, regs, width, l));
-        const double b = dec_float(t, fetch(m.b, regs, width, l));
-        const double c = dec_float(t, fetch(m.c, regs, width, l));
-        double r = 0;
-        switch (m.op) {
-          case Opcode::Add: r = a + b; break;
-          case Opcode::Sub: r = a - b; break;
-          case Opcode::Mul: r = a * b; break;
-          case Opcode::Div:
-            if (b == 0) [[unlikely]] {
-              note_div_by_zero(m);
-              r = 0;
-            } else {
-              r = a / b;
-            }
-            break;
-          case Opcode::Mad:
-            // GT200-style mad: the multiply rounds to f32 first.
-            r = static_cast<double>(static_cast<float>(a) *
-                                    static_cast<float>(b)) + c;
-            break;
-          case Opcode::Fma:
-            r = std::fma(a, b, c);
-            break;
-          case Opcode::Neg: r = -a; break;
-          case Opcode::Abs: r = std::fabs(a); break;
-          case Opcode::Min: r = std::min(a, b); break;
-          case Opcode::Max: r = std::max(a, b); break;
-          case Opcode::Sqrt: r = std::sqrt(a); break;
-          case Opcode::Rsqrt: r = 1.0 / std::sqrt(a); break;
-          case Opcode::Rcp: r = 1.0 / a; break;
-          case Opcode::Sin:
-            // f32 evaluates at float precision (GPU SFU semantics); f64 is
-            // a full-precision library call.
-            r = t == Type::F64 ? std::sin(a)
-                               : std::sin(static_cast<float>(a));
-            break;
-          case Opcode::Cos:
-            r = t == Type::F64 ? std::cos(a)
-                               : std::cos(static_cast<float>(a));
-            break;
-          case Opcode::Ex2: r = std::exp2(a); break;
-          case Opcode::Lg2: r = std::log2(a); break;
-          default:
-            throw InternalError(std::string("float op unsupported: ") +
-                                ir::to_string(m.op));
-        }
-        dst_slot(l) = enc_float(t, t == Type::F32 ? static_cast<float>(r) : r);
-      }
-      return;
-    }
-    case XKind::IntOp: {
-      for (int i = 0; i < n; ++i) {
-        const int l = lanes[i];
-        const std::int64_t a = dec_int(t, fetch(m.a, regs, width, l));
-        const std::int64_t b = dec_int(t, fetch(m.b, regs, width, l));
-        const std::int64_t c = dec_int(t, fetch(m.c, regs, width, l));
-        std::int64_t r = 0;
-        switch (m.op) {
-          case Opcode::Add: r = a + b; break;
-          case Opcode::Sub: r = a - b; break;
-          case Opcode::Mul: r = a * b; break;
-          case Opcode::MulHi:
-            r = static_cast<std::int64_t>(
-                (static_cast<__int128>(a) * b) >> (t == Type::U64 ? 64 : 32));
-            break;
-          case Opcode::Div:
-            if (b == 0) [[unlikely]] {
-              note_div_by_zero(m);
-              r = 0;
-            } else {
-              r = a / b;
-            }
-            break;
-          case Opcode::Rem:
-            if (b == 0) [[unlikely]] {
-              note_div_by_zero(m);
-              r = 0;
-            } else {
-              r = a % b;
-            }
-            break;
-          case Opcode::Mad: r = a * b + c; break;
-          case Opcode::Neg: r = -a; break;
-          case Opcode::Abs: r = std::abs(a); break;
-          case Opcode::Min: r = std::min(a, b); break;
-          case Opcode::Max: r = std::max(a, b); break;
-          case Opcode::And: r = a & b; break;
-          case Opcode::Or: r = a | b; break;
-          case Opcode::Xor: r = a ^ b; break;
-          case Opcode::Not:
-            r = t == Type::Pred ? !a : ~a;
-            break;
-          case Opcode::Shl: r = a << (b & (t == Type::U64 ? 63 : 31)); break;
-          case Opcode::Shr:
-            if (t == Type::S32) {
-              r = static_cast<std::int32_t>(a) >> (b & 31);
-            } else if (t == Type::U32) {
-              r = static_cast<std::int64_t>(
-                  static_cast<std::uint32_t>(a) >> (b & 31));
-            } else {
-              r = static_cast<std::int64_t>(
-                  static_cast<std::uint64_t>(a) >> (b & 63));
-            }
-            break;
-          default:
-            throw InternalError(std::string("int op unsupported: ") +
-                                ir::to_string(m.op));
-        }
-        dst_slot(l) = enc_int(t, r);
-      }
-      return;
-    }
     default:
       throw InternalError("bad micro-op kind in exec_compute");
+  }
+}
+
+// Runtime-typed fallback for (kind, op, type) combinations without a typed
+// handler — in practice predicate-typed logic and compares. It evaluates the
+// same rows, decoding and encoding per the run-time type with
+// dec_int/enc_int.
+void BlockExecutor::exec_compute_other(const MicroOp& m, const int* lanes,
+                                       int n, std::uint64_t* d,
+                                       const std::uint64_t* a,
+                                       const std::uint64_t* b,
+                                       const std::uint64_t* c) {
+  const Type t = m.type;
+  const auto dec = [t](std::uint64_t raw) { return dec_int(t, raw); };
+  if (m.kind == XKind::SetP) {
+    setp_lanes<true>(m.cmp, dec, lanes, n, d, a, b);
+    return;
+  }
+  if (m.kind != XKind::IntOp) {
+    throw InternalError(std::string("compute op unsupported: ") +
+                        ir::to_string(m.op));
+  }
+  const auto divz = [&] {
+    note_div_by_zero(m);
+    return 0;
+  };
+  // The rows' 64-bit lane over the decoded values. A predicate is one bit
+  // wide, so its result keeps bit 0 (the row's ~a is then logical not).
+  const auto eval = [&](auto row) {
+    lanes_apply<true>(
+        lanes, n, d,
+        [&](std::uint64_t x, std::uint64_t y, std::uint64_t z) {
+          std::uint64_t r = decltype(row)::template lane<Type::U64>(
+              divz, static_cast<std::uint64_t>(dec(x)),
+              static_cast<std::uint64_t>(dec(y)),
+              static_cast<std::uint64_t>(dec(z)));
+          if (t == Type::Pred) r &= 1;
+          return enc_int(t, static_cast<std::int64_t>(r));
+        },
+        a, b, c);
+  };
+  switch (m.op) {
+#define GPC_X(name, ...)                                                  \
+  case Opcode::name:                                                      \
+    eval(iop::name{});                                                    \
+    return;
+    GPC_XOP_INT_OPS(GPC_X)
+#undef GPC_X
+    default:
+      throw InternalError(std::string("int op unsupported: ") +
+                          ir::to_string(m.op));
   }
 }
 
 // ---------------------------------------------------------------------------
 // Scheduling
 
-// Convergent fast path: the whole warp is live at one PC, so instructions
-// execute for the contiguous lane range [0, width) with no mask vector, no
-// min-PC scan and no per-lane PC writes. Falls back to the divergent
-// scheduler the moment a guarded branch splits the warp.
-void BlockExecutor::run_converged(Warp& w) {
-  const MicroOp* ops = prog_.ops.data();
-  const int nops = static_cast<int>(prog_.ops.size());
-  const int n = w.width;
-  const int* all = arena_.all_lanes.data();
-  int* exec = arena_.exec.data();
-  int pc = w.cpc;
-  // Hoisted like the goto engine's copy: tested per issued instruction.
-  aiwc::BlockAiwc* const baiwc = baiwc_.get();
-
-  for (;;) {
-    GPC_CHECK(pc < nops, "pc ran past end of " + fn_.name);
-    check_budget();
-    const MicroOp& m = ops[pc];
-    stats_.xkind_issues[static_cast<int>(m.kind)]++;
-    if (baiwc) [[unlikely]] baiwc->issue(pc, n);
-    switch (m.kind) {
-      case XKind::Bra: {
-        stats_.branch_issues++;
-        if (m.guard < 0) {
-          if (baiwc) [[unlikely]] baiwc->branch(pc, n, n);
-          pc = m.target;
-          continue;
-        }
-        int taken = 0;
-        for (int l = 0; l < n; ++l) taken += guard_pass(w, m, l);
-        if (baiwc) [[unlikely]] baiwc->branch(pc, taken, n);
-        if (taken == n) {
-          pc = m.target;
-          continue;
-        }
-        if (taken == 0) {
-          ++pc;
-          continue;
-        }
-        // The warp splits: hand the per-lane PCs to the min-PC scheduler.
-        for (int l = 0; l < n; ++l) {
-          w.pc[l] = guard_pass(w, m, l) ? m.target : pc + 1;
-        }
-        w.converged = false;
-        return;
-      }
-      case XKind::Exit:
-        for (int l = 0; l < n; ++l) w.pc[l] = -1;
-        return;  // finished; converged stays set, pc[] says it all
-      case XKind::Bar:
-        // All live lanes are here by construction — never a divergent
-        // barrier on this path.
-        stats_.barrier_count++;
-        ++pc;
-        for (int l = 0; l < n; ++l) w.pc[l] = pc;
-        w.cpc = pc;
-        w.waiting = true;
-        return;
-      default: {
-        const int* lanes = all;
-        int nexec = n;
-        if (m.guard >= 0) {
-          nexec = 0;
-          for (int l = 0; l < n; ++l) {
-            if (guard_pass(w, m, l)) exec[nexec++] = l;
-          }
-          lanes = exec;
-        }
-        if (nexec > 0) {
-          if (m.kind <= XKind::MemTex) {
-            exec_memory(w, m, lanes, nexec);
-          } else {
-            exec_compute(w, m, lanes, nexec);
-          }
-        } else {
-          stats_.alu_issues++;  // predicated-off issue still consumes a slot
-        }
-        ++pc;
-      }
-    }
-  }
-}
-
+// The oracle: every step issues the instruction at the smallest live PC for
+// exactly the lanes parked there, so divergent branches serialise and
+// reconverge naturally.
 bool BlockExecutor::step(Warp& w) {
-  // Min-PC selection over live, non-waiting lanes; also detects full
-  // reconvergence so the warp can re-enter the fast path.
-  int pcmin = INT32_MAX, pcmax = -1;
+  int pcmin = INT32_MAX;
   int live = 0;
   for (int l = 0; l < w.width; ++l) {
     const int p = w.pc[l];
     if (p >= 0) {
       ++live;
       pcmin = std::min(pcmin, p);
-      pcmax = std::max(pcmax, p);
     }
   }
   if (pcmin == INT32_MAX || w.waiting) return false;
-
-  if (fast_path_ && live == w.width && pcmin == pcmax) {
-    w.converged = true;
-    w.cpc = pcmin;
-    return true;  // run_warp switches to the fast path
-  }
 
   check_budget();
   GPC_CHECK(pcmin < static_cast<int>(prog_.ops.size()),
@@ -1127,8 +924,7 @@ bool BlockExecutor::run_divergent(Warp& w) {
   }
 
   while (!cohorts.empty()) {
-    // Full reconvergence: hand the warp back to the convergent fast path
-    // (cohort_path_ implies fast_path_), exactly where step() would.
+    // Full reconvergence: hand the warp back to the convergent fast path.
     if (cohorts.size() == 1 && cohorts.front().lanes == full) {
       const std::int32_t pc = cohorts.front().pc;
       for (int l = 0; l < w.width; ++l) w.pc[l] = pc;
@@ -1149,7 +945,7 @@ bool BlockExecutor::run_divergent(Warp& w) {
     run.pc = cur.pc;
     run.limit = cohorts.empty() ? INT32_MAX : cohorts.front().pc;
 
-    switch (run_cohort_goto(w, run)) {
+    switch (engine_goto<true>(w, run)) {
       case CohortStop::Limit: {
         std::int32_t rpc = cur.rpc;
         std::uint32_t depth = cur.depth;
@@ -1213,21 +1009,19 @@ bool BlockExecutor::run_divergent(Warp& w) {
 }
 
 void BlockExecutor::run_warp(Warp& w) {
+  if (!fast_path_) {
+    while (step(w)) {
+    }
+    return;
+  }
   for (;;) {
     if (w.converged) {
-      switch (dispatch_) {
-        case DispatchMode::Switch: run_converged(w); break;
-        case DispatchMode::Threaded: run_converged_goto<false>(w); break;
-        case DispatchMode::Simd: run_converged_goto<true>(w); break;
-      }
+      CohortRun unused;
+      engine_goto<false>(w, unused);
       if (w.converged) return;  // parked at a barrier or finished
-      continue;                 // diverged: a divergent scheduler takes over
     }
-    if (cohort_path_) {
-      if (!run_divergent(w)) return;  // parked or finished
-      continue;                       // reconverged: fast path resumes
-    }
-    if (!step(w)) return;
+    if (!run_divergent(w)) return;  // parked or finished
+    // reconverged: the fast path resumes
   }
 }
 

@@ -20,16 +20,21 @@
 //
 // Performance architecture (see DESIGN.md "Simulator performance
 // architecture"): instructions execute from the pre-decoded micro-op stream
-// (sim/decode.h); a warp whose live lanes all share one PC runs on the
-// convergent fast path — a tight loop over contiguous lanes with no mask
-// construction or per-lane PC bookkeeping. A diverged warp runs on the
-// reconvergence-stack cohort scheduler (DESIGN.md §15): lanes group into
-// per-PC cohorts kept sorted by pc, and the min-pc cohort executes
-// straight-line through the computed-goto engine until it reaches the next
-// cohort's pc, reproducing the historical min-PC issue order exactly (the
-// min-PC scan itself remains as the `switch`-mode / GPC_SIM_COHORT=0
-// reference). All block-local storage lives in a caller-owned ExecArena so
-// repeated block executions reuse allocations.
+// (sim/decode.h), and every op's per-lane semantics is defined once, in
+// sim/op_semantics.h. Two ways of running a block exist:
+//  * the production engine (sim/interp_threaded.cpp): a warp whose live
+//    lanes all share one PC runs on the convergent fast path — computed-goto
+//    dispatch over contiguous, vectorizable lane loops with superinstruction
+//    fusion. A diverged warp runs on the reconvergence-stack cohort
+//    scheduler (DESIGN.md §15): lanes group into per-PC cohorts kept sorted
+//    by pc, and the min-pc cohort executes straight-line through the same
+//    computed-goto engine until it reaches the next cohort's pc, reproducing
+//    the min-PC issue order exactly;
+//  * the oracle: the per-step min-PC scheduler over exec_memory /
+//    exec_compute, selected only by set_convergent_fast_path(false), which
+//    the differential tests use to lock the production engine bit-for-bit.
+// All block-local storage lives in a caller-owned ExecArena so repeated
+// block executions reuse allocations.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +48,6 @@
 #include "ir/function.h"
 #include "sim/cache.h"
 #include "sim/decode.h"
-#include "sim/dispatch.h"
 #include "sim/memory.h"
 #include "sim/sanitizer.h"
 #include "sim/stats.h"
@@ -112,17 +116,24 @@ struct TexBinding {
   ir::Type elem = ir::Type::F32;
 };
 
-/// Globally enables/disables the convergent-warp fast path. Defaults to
-/// enabled; the differential tests force it off to prove bit-identical
-/// results, and GPC_SIM_FASTPATH=0 in the environment does the same for ad
-/// hoc debugging. Takes effect at BlockExecutor construction.
+/// Test hook selecting how blocks run: enabled (the default) is the
+/// production engine; disabled runs every warp on the min-PC oracle, which
+/// the differential tests compare against bit-for-bit. Takes effect at
+/// BlockExecutor construction.
 void set_convergent_fast_path(bool enabled);
 bool convergent_fast_path_enabled();
 
-/// Whether this build carries the computed-goto cohort engine (GNU/Clang
-/// computed goto). When false, divergent warps always use the min-PC
-/// scheduler regardless of GPC_SIM_COHORT.
-bool cohort_engine_available();
+/// Returns a stride-1 pointer to an operand's per-lane values: the register
+/// row itself, or the immediate broadcast into `splat_row` (the full warp
+/// width, since lane lists index it by lane id).
+inline const std::uint64_t* lane_src(const MOp& o, std::uint64_t* regs,
+                                     int width, std::uint64_t* splat_row) {
+  if (o.reg >= 0) {
+    return regs + static_cast<std::size_t>(o.reg) * width;
+  }
+  for (int i = 0; i < width; ++i) splat_row[i] = o.imm;
+  return splat_row;
+}
 
 /// One divergent-warp PC cohort: the set of lanes (bitmask over lane ids)
 /// parked together at `pc`. The scheduler keeps cohorts sorted by pc with
@@ -156,9 +167,9 @@ struct ExecArena {
   CacheModel tex_cache;
   CacheModel l1_cache;
 
-  // Immediate-operand splat buffers for the threaded/SIMD engines: an
-  // immediate operand is broadcast into one of these contiguous [width]
-  // rows so every handler loop reads operands through stride-1 pointers.
+  // Immediate-operand splat buffers: an immediate operand is broadcast into
+  // one of these contiguous [width] rows so every lane loop reads operands
+  // through stride-1 pointers.
   std::vector<std::uint64_t> splat;  // 3 rows of warp_size
 
   // O(n) stamped scratch for account_shared / account_const: open-address
@@ -235,27 +246,17 @@ class BlockExecutor {
   };
 
   void run_warp(Warp& w);
-  // Convergent fast path, switch engine: executes from w.cpc until the warp
-  // diverges, parks at a barrier, or finishes. pc[] is synced on return.
-  void run_converged(Warp& w);
-  // Convergent fast path, computed-goto engine over the widened XOp handler
-  // table, executing superinstruction groups fused (sim/interp_threaded.cpp).
-  // kSimd selects contiguous-lane loops the compiler vectorizes; otherwise
-  // lanes go through the identity lane list like the scalar engines. Both
-  // are bit-identical to run_converged.
-  template <bool kSimd>
-  void run_converged_goto(Warp& w);
+  // The production engine (sim/interp_threaded.cpp). kCohort=false is the
+  // convergent fast path: runs the whole warp from w.cpc until it diverges,
+  // parks at a barrier, or finishes (pc[] synced on return; `run` unused).
+  // kCohort=true runs one divergent cohort straight-line (see CohortRun).
+  template <bool kCohort>
+  CohortStop engine_goto(Warp& w, CohortRun& run);
   // Divergent path, cohort scheduler: runs the warp until it reconverges
   // (returns true; caller re-enters the fast path), parks at a barrier, or
   // finishes (returns false). Bit-identical to looping step().
   bool run_divergent(Warp& w);
-  // One cohort's straight-line run on the goto engine (scalar lane lists —
-  // cohort lanes are non-contiguous, so the SIMD shape does not apply).
-  CohortStop run_cohort_goto(Warp& w, CohortRun& run);
-  // The shared engine body behind run_converged_goto and run_cohort_goto.
-  template <bool kSimd, bool kCohort>
-  CohortStop engine_goto(Warp& w, CohortRun& run);
-  // Executes one divergent-scheduler step; returns false when the warp
+  // The oracle: executes one min-PC step; returns false when the warp
   // cannot make further progress right now (waiting or finished).
   bool step(Warp& w);
 
@@ -268,8 +269,28 @@ class BlockExecutor {
     return m.guard_negated ? !p : p;
   }
 
+  // Generic per-lane-list execution of one micro-op: the oracle runs every
+  // op through these, the production engine its guarded, rare and
+  // sanitized ones.
   void exec_memory(Warp& w, const MicroOp& m, const int* lanes, int n);
   void exec_compute(Warp& w, const MicroOp& m, const int* lanes, int n);
+  // Runtime-typed compute fallback (XOp::ComputeOther).
+  void exec_compute_other(const MicroOp& m, const int* lanes, int n,
+                          std::uint64_t* d, const std::uint64_t* a,
+                          const std::uint64_t* b, const std::uint64_t* c);
+  // Issue-class + flop accounting of one warp instruction over n lanes;
+  // fused handlers replay it per component.
+  void count_issue(const MicroOp& m, int n) {
+    switch (m.issue) {
+      case IssueClass::Alu: stats_.alu_issues++; break;
+      case IssueClass::IAlu: stats_.ialu_issues++; break;
+      case IssueClass::Agu: stats_.agu_issues++; break;
+      case IssueClass::Mad: stats_.mad_issues++; break;
+      case IssueClass::Mul: stats_.mul_issues++; break;
+      case IssueClass::Sfu: stats_.sfu_issues++; break;
+    }
+    stats_.flops += static_cast<double>(m.flops) * static_cast<double>(n);
+  }
   std::uint64_t sreg_value(ir::SReg s, const Warp& w, int lane) const;
 
   void account_global(const std::uint64_t* addrs, int n, int size,
@@ -284,11 +305,10 @@ class BlockExecutor {
   /// a trip between the unfused components would).
   void check_budget_extra(std::uint64_t extra);
 
-  /// Shared Div/Rem-by-zero semantics: the quotient/remainder is 0 (GPU
-  /// behaviour), and with the sanitizer's memcheck enabled the event is
+  /// Div/Rem-by-zero reporting behind the rows' divz(): the result is 0
+  /// (GPU behaviour), and with the sanitizer's memcheck enabled the event is
   /// surfaced as a per-lane "div-by-zero" diagnostic instead of silently
-  /// burying it. Every engine (switch, threaded, simd, min-PC) routes
-  /// through this one helper.
+  /// burying it.
   void note_div_by_zero(const MicroOp& m);
 
   /// Micro-op index of `m` within prog_.ops (the ops vector is contiguous),
@@ -314,12 +334,7 @@ class BlockExecutor {
   BlockStats stats_;
   std::uint64_t steps_ = 0;
   std::uint64_t budget_ = 0;
-  bool fast_path_ = true;
-  // Divergent warps use the cohort scheduler (vs the min-PC scan): requires
-  // the fast path, a goto engine, GPC_SIM_COHORT not 0, and computed-goto
-  // support in the build. Latched at construction like dispatch_.
-  bool cohort_path_ = false;
-  DispatchMode dispatch_ = DispatchMode::Simd;
+  bool fast_path_ = true;  // production engine; false runs the oracle
   std::unique_ptr<BlockSanitizer> bsan_;  // null when sanitizing is off
   std::unique_ptr<aiwc::BlockAiwc> baiwc_;  // null when aiwc is off
 };

@@ -1,273 +1,64 @@
-// Threaded-dispatch / SIMD convergent-warp engine.
+// The production engine: computed-goto dispatch over the widened XOp table.
 //
-// run_converged_goto is the computed-goto counterpart of run_converged: one
-// jump table indexed by the widened XOp (generated from the same X-macro
-// lists as the enum, so indices and labels agree by construction) replaces
-// the nested kind/op/type switches, and each handler is specialised for its
-// (op, type) pair — F32Add decodes f32, adds, encodes f32, with no inner
-// dispatch. Superinstruction heads (sim/decode.h fusion pass) jump to fused
+// engine_goto jumps through one table indexed by the widened XOp (generated
+// from the same X-macro rows as the enum, sim/decode.h and
+// sim/op_semantics.h, so indices and labels agree by construction). Every
+// arithmetic, compare and convert handler is instantiated from its
+// op_semantics.h row — the same row the min-PC oracle's exec_compute
+// (sim/interp.cpp) evaluates — so the two ways of running a block share one
+// definition of each op and differ only in scheduling, lane loops and
+// fusion. Superinstruction heads (sim/decode.h fusion pass) jump to fused
 // handlers that execute the whole group in one lane loop while replaying the
 // component ops' issue-class / flop / step / XKind accounting one by one, so
 // every counter the timing model and the differential tests read is
 // bit-identical to unfused execution.
 //
-// The kSimd template parameter selects lane addressing:
-//   * kSimd=true ("simd"): handler loops run over the contiguous lane range
+// Two instantiations exist:
+//   * engine_goto<false>, the convergent fast path: all `width` lanes are
+//     live at one pc, and handler loops run over the contiguous lane range
 //     [0, width) with stride-1 operand pointers (immediates are broadcast
-//     into ExecArena::splat rows), the shape the compiler auto-vectorizes.
-//   * kSimd=false ("threaded"): the same loops read lanes through the
-//     identity lane list, which defeats vectorization — this is the scalar
-//     threaded-dispatch baseline the bench sweep compares against.
-//
-// The kCohort template parameter turns the same handler table into the
-// divergent-cohort engine (engine_goto<false, true>, wrapped by
-// run_cohort_goto): the lane set is a cohort's non-contiguous lane list, the
-// run stops at CohortRun::limit (the next cohort's PC) instead of running to
-// a control event, and branches/barriers/exits return a CohortStop for the
-// reconvergence-stack scheduler (interp.cpp run_divergent, DESIGN.md §15)
-// instead of materialising per-lane PCs. kSimd and kCohort are mutually
-// exclusive — cohort lane lists defeat the contiguity kSimd relies on — so
-// exactly three instantiations exist: <false,false> (threaded),
-// <true,false> (simd) and <false,true> (cohort).
-//
-// Under the `switch` engine (or GPC_SIM_COHORT=0), divergence still hands
-// the per-lane PCs to the min-PC scheduler — the reference path the cohort
-// scheduler is locked against bit-for-bit.
-//
-// Computed goto is a GNU extension (GCC/Clang). Elsewhere the engine
-// degrades to the switch interpreter — same results, no fused execution —
-// and the cohort scheduler reports itself unavailable.
+//     into ExecArena::splat rows), the shape the compiler auto-vectorizes. A
+//     partially taken branch materialises per-lane pcs and hands the warp to
+//     the cohort scheduler.
+//   * engine_goto<true>, one divergent cohort (interp.cpp run_divergent,
+//     DESIGN.md §15): lanes come from the cohort's sorted lane list, the run
+//     stops at CohortRun::limit (the next cohort's pc) instead of running to
+//     a control event, and branches/barriers/exits return a CohortStop to
+//     the reconvergence-stack scheduler instead of materialising per-lane
+//     pcs.
 
 #include "sim/interp.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "common/error.h"
 #include "resil/fault.h"
+#include "sim/op_semantics.h"
 #include "sim/value_codec.h"
-
-#if defined(__GNUC__) || defined(__clang__)
-#define GPC_HAVE_COMPUTED_GOTO 1
-#else
-#define GPC_HAVE_COMPUTED_GOTO 0
-#endif
 
 namespace gpc::sim {
 
-using ir::CmpOp;
 using ir::Type;
 
-#if !GPC_HAVE_COMPUTED_GOTO
-
-bool cohort_engine_available() { return false; }
-
-template <bool kSimd>
-void BlockExecutor::run_converged_goto(Warp& w) {
-  run_converged(w);  // portable fallback: same results, no fused execution
-}
-
-BlockExecutor::CohortStop BlockExecutor::run_cohort_goto(Warp&, CohortRun&) {
-  // Unreachable: cohort_path_ requires cohort_engine_available().
-  throw InternalError("cohort engine requires computed goto");
-}
-
-#else
-
-bool cohort_engine_available() { return true; }
-
 namespace {
-
-/// Returns a stride-1 pointer to the operand's per-lane values: the register
-/// row itself, or the immediate broadcast into the caller's splat row.
-inline const std::uint64_t* lane_src(const MOp& o, std::uint64_t* regs,
-                                     int width, std::uint64_t* splat_row) {
-  if (o.reg >= 0) {
-    return regs + static_cast<std::size_t>(o.reg) * width;
-  }
-  // Fill the full warp width: cohort lane lists index the splat row by lane
-  // id, which can reach width-1 even when few lanes are active.
-  for (int i = 0; i < width; ++i) splat_row[i] = o.imm;
-  return splat_row;
-}
-
-/// Issue-class + flop accounting for one warp instruction over n lanes —
-/// the exact prefix of exec_compute, replayed per component by the fused
-/// handlers so fused and unfused execution account identically.
-inline void bump_issue(BlockStats& s, const MicroOp& m, int n) {
-  switch (m.issue) {
-    case IssueClass::Alu: s.alu_issues++; break;
-    case IssueClass::IAlu: s.ialu_issues++; break;
-    case IssueClass::Agu: s.agu_issues++; break;
-    case IssueClass::Mad: s.mad_issues++; break;
-    case IssueClass::Mul: s.mul_issues++; break;
-    case IssueClass::Sfu: s.sfu_issues++; break;
-  }
-  s.flops += static_cast<double>(m.flops) * static_cast<double>(n);
-}
-
-// Typed register codecs, mirroring dec_int/enc_int/dec_float/enc_float with
-// the type resolved at compile time (this is what the widened XOp buys).
-
-template <Type kT>
-inline std::int64_t idec(std::uint64_t raw) {
-  if constexpr (kT == Type::S32) {
-    return static_cast<std::int32_t>(raw);
-  } else if constexpr (kT == Type::U32) {
-    return static_cast<std::uint32_t>(raw);
-  } else {
-    return static_cast<std::int64_t>(raw);
-  }
-}
-
-template <Type kT>
-inline std::uint64_t ienc(std::int64_t r) {
-  if constexpr (kT == Type::S32) {
-    return static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(static_cast<std::int32_t>(r)));
-  } else if constexpr (kT == Type::U32) {
-    return static_cast<std::uint32_t>(r);
-  } else {
-    return static_cast<std::uint64_t>(r);
-  }
-}
-
-template <Type kT>
-inline double fdec(std::uint64_t raw) {
-  if constexpr (kT == Type::F32) {
-    return dec_f32(raw);
-  } else {
-    return dec_f64(raw);
-  }
-}
-
-template <Type kT>
-inline std::uint64_t fenc(double v) {
-  if constexpr (kT == Type::F32) {
-    return enc_f32(static_cast<float>(v));
-  } else {
-    return enc_f64(v);
-  }
-}
-
-/// SetP operand interpretation per type, matching exec_compute: floats
-/// compare as double, S32 sign-extends, U32/U64 compare unsigned.
-template <Type kT>
-inline auto setp_dec(std::uint64_t raw) {
-  if constexpr (kT == Type::F32) {
-    return static_cast<double>(dec_f32(raw));
-  } else if constexpr (kT == Type::F64) {
-    return dec_f64(raw);
-  } else if constexpr (kT == Type::S32) {
-    return static_cast<std::int64_t>(static_cast<std::int32_t>(raw));
-  } else if constexpr (kT == Type::U32) {
-    return raw & 0xFFFFFFFFull;
-  } else {
-    return raw;
-  }
-}
-
-/// Evaluates one unguarded SetP over all n lanes into its dst row. Shared
-/// by the Setp* handlers and the FusedSetpBra superinstruction.
-#define GPC_SETP_CASE(name, OP)                                            \
-  case CmpOp::name:                                                        \
-    for (int i = 0; i < n; ++i) {                                          \
-      const int l = kSimd ? i : all[i];                                    \
-      pd[l] = (setp_dec<kT>(pa[l]) OP setp_dec<kT>(pb[l])) ? 1 : 0;        \
-    }                                                                      \
-    break;
-
-template <bool kSimd, Type kT>
-inline void setp_eval(const MicroOp& m, std::uint64_t* regs, int width,
-                      const int* all, int n, std::uint64_t* s0,
-                      std::uint64_t* s1) {
-  const std::uint64_t* pa = lane_src(m.a, regs, width, s0);
-  const std::uint64_t* pb = lane_src(m.b, regs, width, s1);
-  std::uint64_t* pd = regs + static_cast<std::size_t>(m.dst) * width;
-  switch (m.cmp) {
-    GPC_SETP_CASE(Eq, ==)
-    GPC_SETP_CASE(Ne, !=)
-    GPC_SETP_CASE(Lt, <)
-    GPC_SETP_CASE(Le, <=)
-    GPC_SETP_CASE(Gt, >)
-    default:
-      for (int i = 0; i < n; ++i) {
-        const int l = kSimd ? i : all[i];
-        pd[l] = (setp_dec<kT>(pa[l]) >= setp_dec<kT>(pb[l])) ? 1 : 0;
-      }
-      break;
-  }
-}
-
-#undef GPC_SETP_CASE
 
 // Fused-group bodies. All components are unguarded register defs verified by
 // the fusion pass; every intermediate dst is written so the register file is
 // indistinguishable from unfused execution at every group boundary (and a
-// later divergence / preempt / resume sees identical state). Where a later
-// component reads a register an earlier component just wrote, the freshly
-// encoded value is forwarded through the same encode/decode round-trip the
-// register file would have applied.
+// later divergence / preempt / resume sees identical state).
 
-/// shl dst0, a, imm ; add dst1, ·, · — one operand of the add is dst0.
-template <bool kSimd, Type kT>
-inline void fused_shladd(const MicroOp& c0, const MicroOp& c1,
-                         std::uint64_t* regs, int width, const int* all,
-                         int n, std::uint64_t* s0, std::uint64_t* s1) {
-  const std::int64_t sh = idec<kT>(c0.b.imm) & (kT == Type::U64 ? 63 : 31);
-  const std::uint64_t* pa = lane_src(c0.a, regs, width, s0);
-  const MOp& oth = (c1.a.reg == c0.dst) ? c1.b : c1.a;
-  const bool ochain = oth.reg == c0.dst;
-  const std::uint64_t* po =
-      ochain ? nullptr : lane_src(oth, regs, width, s1);
-  std::uint64_t* pd0 = regs + static_cast<std::size_t>(c0.dst) * width;
-  std::uint64_t* pd1 = regs + static_cast<std::size_t>(c1.dst) * width;
-  for (int i = 0; i < n; ++i) {
-    const int l = kSimd ? i : all[i];
-    const std::uint64_t e0 = ienc<kT>(idec<kT>(pa[l]) << sh);
-    const std::int64_t ch = idec<kT>(e0);
-    const std::int64_t ov = ochain ? ch : idec<kT>(po[l]);
-    pd0[l] = e0;
-    pd1[l] = ienc<kT>(ch + ov);
-  }
-}
-
-/// mul dst0, a, b ; add dst1, ·, · — the integer mad idiom.
-template <bool kSimd, Type kT>
-inline void fused_muladd_i(const MicroOp& c0, const MicroOp& c1,
-                           std::uint64_t* regs, int width, const int* all,
-                           int n, std::uint64_t* s0, std::uint64_t* s1,
-                           std::uint64_t* s2) {
-  const std::uint64_t* pa = lane_src(c0.a, regs, width, s0);
-  const std::uint64_t* pb = lane_src(c0.b, regs, width, s1);
-  const MOp& oth = (c1.a.reg == c0.dst) ? c1.b : c1.a;
-  const bool ochain = oth.reg == c0.dst;
-  const std::uint64_t* po =
-      ochain ? nullptr : lane_src(oth, regs, width, s2);
-  std::uint64_t* pd0 = regs + static_cast<std::size_t>(c0.dst) * width;
-  std::uint64_t* pd1 = regs + static_cast<std::size_t>(c1.dst) * width;
-  for (int i = 0; i < n; ++i) {
-    const int l = kSimd ? i : all[i];
-    const std::uint64_t e0 = ienc<kT>(idec<kT>(pa[l]) * idec<kT>(pb[l]));
-    const std::int64_t ch = idec<kT>(e0);
-    const std::int64_t ov = ochain ? ch : idec<kT>(po[l]);
-    pd0[l] = e0;
-    pd1[l] = ienc<kT>(ch + ov);
-  }
-}
-
-/// Float mul/add pair. The multiply result goes through the f32/f64
-/// writeback rounding before the add reads it — two roundings, never a
-/// contracted fma — and the add preserves its original operand order (IEEE
-/// addition is value-commutative but not payload-commutative for NaNs).
-template <bool kSimd, Type kT>
-inline void fused_muladd_f(const MicroOp& c0, const MicroOp& c1,
-                           std::uint64_t* regs, int width, const int* all,
-                           int n, std::uint64_t* s0, std::uint64_t* s1,
-                           std::uint64_t* s2) {
+/// op0 dst0, a, b ; op1 dst1, x, y where x and/or y is dst0 — the shl+add
+/// and mul+add idioms. Both components evaluate their own rows, and the
+/// freshly encoded dst0 is forwarded into op1 exactly as the register file
+/// would hand it over: for floats, two roundings, never a contracted fma.
+/// op1 keeps its operand order (IEEE addition is value-commutative but not
+/// payload-commutative for NaNs).
+template <bool kList, class Row0, class Row1, Type kT, class DivZ>
+inline void fused_pair(const DivZ& divz, const MicroOp& c0,
+                       const MicroOp& c1, std::uint64_t* regs, int width,
+                       const int* lanes, int n, std::uint64_t* s0,
+                       std::uint64_t* s1, std::uint64_t* s2) {
   const std::uint64_t* pa = lane_src(c0.a, regs, width, s0);
   const std::uint64_t* pb = lane_src(c0.b, regs, width, s1);
   const bool chain_is_a = c1.a.reg == c0.dst;
@@ -278,14 +69,54 @@ inline void fused_muladd_f(const MicroOp& c0, const MicroOp& c1,
   std::uint64_t* pd0 = regs + static_cast<std::size_t>(c0.dst) * width;
   std::uint64_t* pd1 = regs + static_cast<std::size_t>(c1.dst) * width;
   for (int i = 0; i < n; ++i) {
-    const int l = kSimd ? i : all[i];
-    const std::uint64_t e0 = fenc<kT>(fdec<kT>(pa[l]) * fdec<kT>(pb[l]));
-    const double ch = fdec<kT>(e0);
-    const double ov = ochain ? ch : fdec<kT>(po[l]);
-    const double x = chain_is_a ? ch : ov;
-    const double y = chain_is_a ? ov : ch;
+    const int l = kList ? lanes[i] : i;
+    const std::uint64_t e0 = Row0::template lane<kT>(divz, pa[l], pb[l], 0);
+    const std::uint64_t o = ochain ? e0 : po[l];
     pd0[l] = e0;
-    pd1[l] = fenc<kT>(x + y);
+    pd1[l] = chain_is_a ? Row1::template lane<kT>(divz, e0, o, 0)
+                        : Row1::template lane<kT>(divz, o, e0, 0);
+  }
+}
+
+/// cvt.u64 d0, src ; and.u64 d1, d0, imm ; shl.u64 d2, d1, imm ;
+/// add.u64 d3, ·, · over the four micro-ops at `c`. The add's second
+/// operand may itself name a register an earlier component just redefined;
+/// the in-flight value is forwarded in that case.
+template <bool kList, Type kSrc, class DivZ>
+inline void fused_addr_gen(const DivZ& divz, const MicroOp* c,
+                           std::uint64_t* regs, int width, const int* lanes,
+                           int n, std::uint64_t* s0, std::uint64_t* s1) {
+  const cvt::II widen{kSrc, Type::U64};
+  const std::uint64_t mask = c[1].b.imm;
+  const std::uint64_t sh = c[2].b.imm;
+  const std::uint64_t* psrc = lane_src(c[0].a, regs, width, s0);
+  const MOp& oth = (c[3].a.reg == c[2].dst) ? c[3].b : c[3].a;
+  int osel = 0;
+  const std::uint64_t* po = nullptr;
+  if (oth.reg == c[2].dst) {
+    osel = 3;
+  } else if (oth.reg == c[1].dst) {
+    osel = 2;
+  } else if (oth.reg == c[0].dst) {
+    osel = 1;
+  } else {
+    po = lane_src(oth, regs, width, s1);
+  }
+  std::uint64_t* pd0 = regs + static_cast<std::size_t>(c[0].dst) * width;
+  std::uint64_t* pd1 = regs + static_cast<std::size_t>(c[1].dst) * width;
+  std::uint64_t* pd2 = regs + static_cast<std::size_t>(c[2].dst) * width;
+  std::uint64_t* pd3 = regs + static_cast<std::size_t>(c[3].dst) * width;
+  for (int i = 0; i < n; ++i) {
+    const int l = kList ? lanes[i] : i;
+    const std::uint64_t v0 = widen(psrc[l]);
+    const std::uint64_t v1 = iop::And::lane<Type::U64>(divz, v0, mask, 0);
+    const std::uint64_t v2 = iop::Shl::lane<Type::U64>(divz, v1, sh, 0);
+    const std::uint64_t vo =
+        osel == 0 ? po[l] : osel == 1 ? v0 : osel == 2 ? v1 : v2;
+    pd0[l] = v0;
+    pd1[l] = v1;
+    pd2[l] = v2;
+    pd3[l] = iop::Add::lane<Type::U64>(divz, v2, vo, 0);
   }
 }
 
@@ -296,11 +127,10 @@ inline void fused_muladd_f(const MicroOp& c0, const MicroOp& c1,
 
 // Budget / bounds / dynamic-mix accounting per scheduler-issued warp
 // instruction, then dispatch: guarded non-control ops take the generic
-// guard-filter path (identical to run_converged's default case); everything
-// else jumps through the XOp table. The cohort limit check comes first —
-// reaching the next cohort's PC ends the run before the op there is issued,
-// so no budget/xkind accounting happens for it (the min-PC scheduler would
-// issue it for the merged lane set on the next step).
+// guard-filter path; everything else jumps through the XOp table. The cohort
+// limit check comes first — reaching the next cohort's PC ends the run before
+// the op there is issued, so no budget/xkind accounting happens for it (the
+// scheduler issues it for the merged lane set next).
 #define GPC_DISPATCH()                                                     \
   do {                                                                     \
     if constexpr (kCohort) {                                               \
@@ -317,117 +147,44 @@ inline void fused_muladd_f(const MicroOp& c0, const MicroOp& c1,
     }                                                                      \
     m = ops + pc;                                                          \
     stats_.xkind_issues[static_cast<int>(m->kind)]++;                      \
-    if (baiwc) [[unlikely]] baiwc->issue(pc, n);                         \
+    if (baiwc) [[unlikely]] baiwc->issue(pc, n);                           \
     if (m->guard >= 0 && m->kind > XKind::Bar) goto L_guarded;             \
     goto* table[static_cast<std::uint16_t>(m->xop)];                       \
   } while (false)
 
-// Generic typed-handler bodies. `expr` sees per-lane operands a, b, c
-// already decoded for the handler's type; the result is encoded with the
-// same writeback the scalar interpreter applies.
-#define GPC_FLT_BODY(TY, expr)                                             \
+// One compute handler: issue accounting, then `body` over the destination
+// row d when the op writes a register, then the next op. GPC_A/B/C are the
+// stride-1 operand rows.
+#define GPC_COMPUTE(body)                                                  \
   {                                                                        \
-    bump_issue(stats_, *m, n);                                             \
+    count_issue(*m, n);                                                    \
     if (m->dst >= 0) {                                                     \
-      const std::uint64_t* pa = lane_src(m->a, regs, width, sp0);       \
-      const std::uint64_t* pb = lane_src(m->b, regs, width, sp1);       \
-      const std::uint64_t* pcc = lane_src(m->c, regs, width, sp2);      \
-      std::uint64_t* pd = regs + static_cast<std::size_t>(m->dst) * width; \
-      for (int i = 0; i < n; ++i) {                                        \
-        const int l = kSimd ? i : all[i];                                  \
-        const double a = fdec<TY>(pa[l]);                                  \
-        const double b = fdec<TY>(pb[l]);                                  \
-        const double c = fdec<TY>(pcc[l]);                                 \
-        (void)b;                                                           \
-        (void)c;                                                           \
-        pd[l] = fenc<TY>(expr);                                            \
-      }                                                                    \
+      std::uint64_t* const d =                                             \
+          regs + static_cast<std::size_t>(m->dst) * width;                 \
+      body;                                                                \
     }                                                                      \
     ++pc;                                                                  \
     GPC_DISPATCH();                                                        \
   }
+#define GPC_A lane_src(m->a, regs, width, sp0)
+#define GPC_B lane_src(m->b, regs, width, sp1)
+#define GPC_C lane_src(m->c, regs, width, sp2)
+#define GPC_ROW(Row, T)                                                    \
+  GPC_COMPUTE((row_lanes<kCohort, Row, T>(divz, all, n, d, GPC_A, GPC_B,   \
+                                          GPC_C)))
 
-#define GPC_FLT2(name, expr)                                               \
-  L_F32##name : GPC_FLT_BODY(Type::F32, expr)                              \
-  L_F64##name : GPC_FLT_BODY(Type::F64, expr)
-
-#define GPC_INT_BODY(TY, expr)                                             \
-  {                                                                        \
-    bump_issue(stats_, *m, n);                                             \
-    if (m->dst >= 0) {                                                     \
-      const std::uint64_t* pa = lane_src(m->a, regs, width, sp0);       \
-      const std::uint64_t* pb = lane_src(m->b, regs, width, sp1);       \
-      const std::uint64_t* pcc = lane_src(m->c, regs, width, sp2);      \
-      std::uint64_t* pd = regs + static_cast<std::size_t>(m->dst) * width; \
-      for (int i = 0; i < n; ++i) {                                        \
-        const int l = kSimd ? i : all[i];                                  \
-        const std::int64_t a = idec<TY>(pa[l]);                            \
-        const std::int64_t b = idec<TY>(pb[l]);                            \
-        const std::int64_t c = idec<TY>(pcc[l]);                           \
-        (void)b;                                                           \
-        (void)c;                                                           \
-        pd[l] = ienc<TY>(expr);                                            \
-      }                                                                    \
-    }                                                                      \
-    ++pc;                                                                  \
-    GPC_DISPATCH();                                                        \
-  }
-
-// 32-bit-lane variant for S32/U32 ops whose int64 result, truncated to the
-// low 32 bits by ienc, equals the same computation done in uint32 wraparound
-// arithmetic (add/sub/mul/mad/neg, bitwise, shifts, and — via explicit
-// casts in expr — min/max). Working in 32-bit lanes matters because AVX2
-// has native 32-bit multiplies but only emulated 64-bit ones; the unrolled
-// MxM inner loop is two integer mads per ld.shared.
-#define GPC_INT_BODY32(TY, expr)                                           \
-  {                                                                        \
-    bump_issue(stats_, *m, n);                                             \
-    if (m->dst >= 0) {                                                     \
-      const std::uint64_t* pa = lane_src(m->a, regs, width, sp0);       \
-      const std::uint64_t* pb = lane_src(m->b, regs, width, sp1);       \
-      const std::uint64_t* pcc = lane_src(m->c, regs, width, sp2);      \
-      std::uint64_t* pd = regs + static_cast<std::size_t>(m->dst) * width; \
-      for (int i = 0; i < n; ++i) {                                        \
-        const int l = kSimd ? i : all[i];                                  \
-        const std::uint32_t a = static_cast<std::uint32_t>(pa[l]);         \
-        const std::uint32_t b = static_cast<std::uint32_t>(pb[l]);         \
-        const std::uint32_t c = static_cast<std::uint32_t>(pcc[l]);        \
-        (void)b;                                                           \
-        (void)c;                                                           \
-        pd[l] = ienc<TY>(static_cast<std::int64_t>(                        \
-            static_cast<std::int32_t>(expr)));                             \
-      }                                                                    \
-    }                                                                      \
-    ++pc;                                                                  \
-    GPC_DISPATCH();                                                        \
-  }
-
-#define GPC_INT3(name, expr)                                               \
-  L_S32##name : GPC_INT_BODY(Type::S32, expr)                              \
-  L_U32##name : GPC_INT_BODY(Type::U32, expr)                              \
-  L_U64##name : GPC_INT_BODY(Type::U64, expr)
-
-// S32/U32 run the 32-bit body (expr32 over uint32 a/b/c), U64 keeps the
-// generic 64-bit body (expr64 over int64 a/b/c).
-#define GPC_INT3_32(name, expr32, expr64)                                  \
-  L_S32##name : GPC_INT_BODY32(Type::S32, expr32)                          \
-  L_U32##name : GPC_INT_BODY32(Type::U32, expr32)                          \
-  L_U64##name : GPC_INT_BODY(Type::U64, expr64)
-
-template <bool kSimd, bool kCohort>
+template <bool kCohort>
 BlockExecutor::CohortStop BlockExecutor::engine_goto(Warp& w, CohortRun& run) {
-  static_assert(!(kSimd && kCohort),
-                "cohort lane lists are non-contiguous: no simd addressing");
-  // Generated from the same X-macro lists as the XOp enum: table[i] is the
+  // Generated from the same X-macro rows as the XOp enum: table[i] is the
   // handler for XOp(i) by construction.
   static const void* const table[kNumXOps] = {
 #define GPC_X(name) &&L_##name,
       GPC_XOP_BASIC(GPC_X)
 #undef GPC_X
-#define GPC_X(name) &&L_F32##name, &&L_F64##name,
+#define GPC_X(name, ...) &&L_F32##name, &&L_F64##name,
           GPC_XOP_FLOAT_OPS(GPC_X)
 #undef GPC_X
-#define GPC_X(name) &&L_S32##name, &&L_U32##name, &&L_U64##name,
+#define GPC_X(name, ...) &&L_S32##name, &&L_U32##name, &&L_U64##name,
               GPC_XOP_INT_OPS(GPC_X)
 #undef GPC_X
   };
@@ -449,8 +206,8 @@ BlockExecutor::CohortStop BlockExecutor::engine_goto(Warp& w, CohortRun& run) {
   const MicroOp* const ops = prog_.ops.data();
   const int nops = static_cast<int>(prog_.ops.size());
   // In cohort mode the active lane set is the scheduler's (sorted,
-  // non-contiguous) lane list; converged runs use the identity list over the
-  // full warp width.
+  // non-contiguous) lane list; converged runs cover the full warp width and
+  // hand the identity list to the generic per-lane-list paths.
   const int n = kCohort ? run.n : w.width;
   const int width = w.width;
   const int* const all = kCohort ? run.lanes : arena_.all_lanes.data();
@@ -465,6 +222,10 @@ BlockExecutor::CohortStop BlockExecutor::engine_goto(Warp& w, CohortRun& run) {
   // compiler keep it in a register across the opaque handler calls instead
   // of reloading the member through `this` every dispatch.
   aiwc::BlockAiwc* const baiwc = baiwc_.get();
+  const auto divz = [&] {
+    note_div_by_zero(*m);
+    return 0;
+  };
 
   GPC_DISPATCH();
 
@@ -517,9 +278,7 @@ L_Bra : {
       taken += t;
     }
   } else {
-    for (int i = 0; i < n; ++i) {
-      taken += guard_pass(w, *m, kSimd ? i : all[i]);
-    }
+    for (int l = 0; l < n; ++l) taken += guard_pass(w, *m, l);
   }
   if (baiwc) [[unlikely]] baiwc->branch(pc, taken, n);
   if (taken == n) {
@@ -540,7 +299,7 @@ L_Bra : {
     run.pc = pc + 1;
     return CohortStop::Split;
   } else {
-    // The warp splits: hand the per-lane PCs to the min-PC scheduler.
+    // The warp splits: hand the per-lane PCs to the cohort scheduler.
     for (int l = 0; l < n; ++l) {
       w.pc[l] = guard_pass(w, *m, l) ? m->target : pc + 1;
     }
@@ -607,7 +366,7 @@ L_MemConst : {
     }
     std::uint64_t* const pd = regs + static_cast<std::size_t>(mm.dst) * width;
     for (int i = 0; i < n; ++i) {
-      const int l = kSimd ? i : all[i];
+      const int l = kCohort ? all[i] : i;
       pd[l] = raw;
     }
     stats_.const_cycles += 1;  // uniform address: broadcast, one cycle
@@ -637,7 +396,7 @@ L_MemShared : {
     const std::uint64_t limit = arena_.shared.size();
     std::uint64_t bad = 0;
     for (int i = 0; i < n; ++i) {
-      const int l = kSimd ? i : all[i];
+      const int l = kCohort ? all[i] : i;
       const std::uint64_t a = pa[l];
       ad[i] = a;
       bad |= static_cast<std::uint64_t>(a + 4 > limit) | (a & 3);
@@ -651,14 +410,14 @@ L_MemShared : {
           regs + static_cast<std::size_t>(mm.dst) * width;
       if (mm.type == Type::S32) {
         for (int i = 0; i < n; ++i) {
-          const int l = kSimd ? i : all[i];
+          const int l = kCohort ? all[i] : i;
           std::uint32_t raw;
           std::memcpy(&raw, sh + ad[i], 4);
           pd[l] = enc_int(Type::S32, static_cast<std::int32_t>(raw));
         }
       } else {
         for (int i = 0; i < n; ++i) {
-          const int l = kSimd ? i : all[i];
+          const int l = kCohort ? all[i] : i;
           std::uint32_t raw;
           std::memcpy(&raw, sh + ad[i], 4);
           pd[l] = raw;
@@ -667,7 +426,7 @@ L_MemShared : {
     } else {
       const std::uint64_t* pb = lane_src(mm.b, regs, width, sp1);
       for (int i = 0; i < n; ++i) {
-        const int l = kSimd ? i : all[i];
+        const int l = kCohort ? all[i] : i;
         const std::uint32_t v = static_cast<std::uint32_t>(pb[l]);
         std::memcpy(sh + ad[i], &v, 4);
       }
@@ -704,7 +463,7 @@ L_MemShared : {
   GPC_DISPATCH();
 }
 
-  // ---- Compute: generic fallbacks ----------------------------------------
+  // ---- Compute -------------------------------------------------------------
 
 L_ReadSReg : {
   // Special-register reads are hot in index-heavy kernels (every thread
@@ -712,40 +471,11 @@ L_ReadSReg : {
   // identity, so flat ids are consecutive: TidX and LaneId reduce to an
   // increment-with-wrap (one divide per warp, not per lane), and everything
   // except TidX/TidY/TidZ/LaneId is warp-uniform and broadcasts one value.
-  // A cohort's lane ids are NOT consecutive — the wrap trick would
-  // misnumber them, so a per-lane flat-id computation runs instead
-  // (uniform sregs still broadcast one value).
-  if constexpr (kCohort) {
-    const MicroOp& mm = *m;
-    bump_issue(stats_, mm, n);
-    if (mm.dst >= 0) {
-      std::uint64_t* const pd =
-          regs + static_cast<std::size_t>(mm.dst) * width;
-      const ir::SReg s = mm.sreg;
-      if (s == ir::SReg::TidX || s == ir::SReg::LaneId) {
-        const std::int64_t mod =
-            (s == ir::SReg::TidX) ? config_.block.x : spec_.warp_size;
-        for (int i = 0; i < n; ++i) {
-          const int l = all[i];
-          pd[l] = enc_int(Type::S32, (w.base + l) % mod);
-        }
-      } else if (s == ir::SReg::TidY || s == ir::SReg::TidZ) {
-        for (int i = 0; i < n; ++i) {
-          const int l = all[i];
-          pd[l] = enc_int(Type::S32,
-                          static_cast<std::int64_t>(sreg_value(s, w, l)));
-        }
-      } else {
-        const std::uint64_t v =
-            enc_int(Type::S32, static_cast<std::int64_t>(sreg_value(s, w, 0)));
-        for (int i = 0; i < n; ++i) pd[all[i]] = v;
-      }
-    }
-    ++pc;
-    GPC_DISPATCH();
-  }
+  // A cohort's lane ids are NOT consecutive — the wrap trick would misnumber
+  // them — so a cohort takes the generic per-lane path.
+  if constexpr (kCohort) goto L_ComputeOther;
   const MicroOp& mm = *m;
-  bump_issue(stats_, mm, n);
+  count_issue(mm, n);
   if (mm.dst >= 0) {
     std::uint64_t* const pd = regs + static_cast<std::size_t>(mm.dst) * width;
     const ir::SReg s = mm.sreg;
@@ -753,24 +483,19 @@ L_ReadSReg : {
       const std::int64_t mod =
           (s == ir::SReg::TidX) ? config_.block.x : spec_.warp_size;
       std::int64_t v = w.base % mod;
-      for (int i = 0; i < n; ++i) {
-        const int l = kSimd ? i : all[i];
+      for (int l = 0; l < n; ++l) {
         pd[l] = enc_int(Type::S32, v);
         if (++v == mod) v = 0;
       }
     } else if (s == ir::SReg::TidY || s == ir::SReg::TidZ) {
-      for (int i = 0; i < n; ++i) {
-        const int l = kSimd ? i : all[i];
+      for (int l = 0; l < n; ++l) {
         pd[l] = enc_int(Type::S32,
                         static_cast<std::int64_t>(sreg_value(s, w, l)));
       }
     } else {
       const std::uint64_t v =
           enc_int(Type::S32, static_cast<std::int64_t>(sreg_value(s, w, 0)));
-      for (int i = 0; i < n; ++i) {
-        const int l = kSimd ? i : all[i];
-        pd[l] = v;
-      }
+      for (int l = 0; l < n; ++l) pd[l] = v;
     }
   }
   ++pc;
@@ -782,145 +507,32 @@ L_ComputeOther:
   ++pc;
   GPC_DISPATCH();
 
-L_Mov : {
-  bump_issue(stats_, *m, n);
-  if (m->dst >= 0) {
-    const std::uint64_t* pa = lane_src(m->a, regs, width, sp0);
-    std::uint64_t* pd = regs + static_cast<std::size_t>(m->dst) * width;
-    for (int i = 0; i < n; ++i) {
-      const int l = kSimd ? i : all[i];
-      pd[l] = pa[l];
-    }
-  }
-  ++pc;
-  GPC_DISPATCH();
-}
-
-L_SelP : {
-  bump_issue(stats_, *m, n);
-  if (m->dst >= 0) {
-    const std::uint64_t* pa = lane_src(m->a, regs, width, sp0);
-    const std::uint64_t* pb = lane_src(m->b, regs, width, sp1);
-    const std::uint64_t* pcc = lane_src(m->c, regs, width, sp2);
-    std::uint64_t* pd = regs + static_cast<std::size_t>(m->dst) * width;
-    for (int i = 0; i < n; ++i) {
-      const int l = kSimd ? i : all[i];
-      pd[l] = (pa[l] & 1) != 0 ? pb[l] : pcc[l];
-    }
-  }
-  ++pc;
-  GPC_DISPATCH();
-}
-
-  // ---- Conversions, split by source/destination domain --------------------
-
-L_CvtFF : {
-  bump_issue(stats_, *m, n);
-  if (m->dst >= 0) {
-    const std::uint64_t* pa = lane_src(m->a, regs, width, sp0);
-    std::uint64_t* pd = regs + static_cast<std::size_t>(m->dst) * width;
-    const Type st = m->src_type, dt = m->type;
-    for (int i = 0; i < n; ++i) {
-      const int l = kSimd ? i : all[i];
-      pd[l] = enc_float(dt, dec_float(st, pa[l]));
-    }
-  }
-  ++pc;
-  GPC_DISPATCH();
-}
-
-L_CvtFI : {
-  bump_issue(stats_, *m, n);
-  if (m->dst >= 0) {
-    const std::uint64_t* pa = lane_src(m->a, regs, width, sp0);
-    std::uint64_t* pd = regs + static_cast<std::size_t>(m->dst) * width;
-    const Type st = m->src_type, dt = m->type;
-    for (int i = 0; i < n; ++i) {
-      const int l = kSimd ? i : all[i];
-      pd[l] = enc_int(
-          dt, static_cast<std::int64_t>(dec_float(st, pa[l])));
-    }
-  }
-  ++pc;
-  GPC_DISPATCH();
-}
-
-L_CvtIF : {
-  bump_issue(stats_, *m, n);
-  if (m->dst >= 0) {
-    const std::uint64_t* pa = lane_src(m->a, regs, width, sp0);
-    std::uint64_t* pd = regs + static_cast<std::size_t>(m->dst) * width;
-    const Type st = m->src_type, dt = m->type;
-    for (int i = 0; i < n; ++i) {
-      const int l = kSimd ? i : all[i];
-      pd[l] = enc_float(dt, static_cast<double>(dec_int(st, pa[l])));
-    }
-  }
-  ++pc;
-  GPC_DISPATCH();
-}
-
-L_CvtII : {
-  bump_issue(stats_, *m, n);
-  if (m->dst >= 0) {
-    const std::uint64_t* pa = lane_src(m->a, regs, width, sp0);
-    std::uint64_t* pd = regs + static_cast<std::size_t>(m->dst) * width;
-    const Type st = m->src_type, dt = m->type;
-    for (int i = 0; i < n; ++i) {
-      const int l = kSimd ? i : all[i];
-      pd[l] = enc_int(dt, dec_int(st, pa[l]));
-    }
-  }
-  ++pc;
-  GPC_DISPATCH();
-}
-
-  // ---- Compares, split by operand type ------------------------------------
-
-L_SetpF32 : {
-  bump_issue(stats_, *m, n);
-  if (m->dst >= 0) {
-    setp_eval<kSimd, Type::F32>(*m, regs, width, all, n, sp0, sp1);
-  }
-  ++pc;
-  GPC_DISPATCH();
-}
-
-L_SetpF64 : {
-  bump_issue(stats_, *m, n);
-  if (m->dst >= 0) {
-    setp_eval<kSimd, Type::F64>(*m, regs, width, all, n, sp0, sp1);
-  }
-  ++pc;
-  GPC_DISPATCH();
-}
-
-L_SetpS32 : {
-  bump_issue(stats_, *m, n);
-  if (m->dst >= 0) {
-    setp_eval<kSimd, Type::S32>(*m, regs, width, all, n, sp0, sp1);
-  }
-  ++pc;
-  GPC_DISPATCH();
-}
-
-L_SetpU32 : {
-  bump_issue(stats_, *m, n);
-  if (m->dst >= 0) {
-    setp_eval<kSimd, Type::U32>(*m, regs, width, all, n, sp0, sp1);
-  }
-  ++pc;
-  GPC_DISPATCH();
-}
-
-L_SetpU64 : {
-  bump_issue(stats_, *m, n);
-  if (m->dst >= 0) {
-    setp_eval<kSimd, Type::U64>(*m, regs, width, all, n, sp0, sp1);
-  }
-  ++pc;
-  GPC_DISPATCH();
-}
+L_Mov:
+  GPC_COMPUTE((lanes_apply<kCohort>(all, n, d, mov_lane, GPC_A)))
+L_SelP:
+  GPC_COMPUTE(
+      (lanes_apply<kCohort>(all, n, d, selp_lane, GPC_A, GPC_B, GPC_C)))
+#define GPC_X(name, expr)                                                  \
+  L_Cvt##name : GPC_COMPUTE((lanes_apply<kCohort>(                         \
+                    all, n, d, cvt::name{m->src_type, m->type}, GPC_A)))
+  GPC_CVT_OPS(GPC_X)
+#undef GPC_X
+#define GPC_X(T)                                                           \
+  L_Setp##T : GPC_COMPUTE((setp_typed<kCohort, Type::T>(m->cmp, all, n, d, \
+                                                        GPC_A, GPC_B)))
+  GPC_X(F32) GPC_X(F64) GPC_X(S32) GPC_X(U32) GPC_X(U64)
+#undef GPC_X
+#define GPC_X(name, expr)                                                  \
+  L_F32##name : GPC_ROW(fop::name, Type::F32)                              \
+  L_F64##name : GPC_ROW(fop::name, Type::F64)
+  GPC_XOP_FLOAT_OPS(GPC_X)
+#undef GPC_X
+#define GPC_X(name, expr64, expr32)                                        \
+  L_S32##name : GPC_ROW(iop::name, Type::S32)                              \
+  L_U32##name : GPC_ROW(iop::name, Type::U32)                              \
+  L_U64##name : GPC_ROW(iop::name, Type::U64)
+  GPC_XOP_INT_OPS(GPC_X)
+#undef GPC_X
 
   // ---- Superinstructions ---------------------------------------------------
 
@@ -940,51 +552,18 @@ L_FusedAddrGen : {
     baiwc->issue(pc + 2, n);
     baiwc->issue(pc + 3, n);
   }
-  bump_issue(stats_, c0, n);
-  bump_issue(stats_, c1, n);
-  bump_issue(stats_, c2, n);
-  bump_issue(stats_, c3, n);
+  count_issue(c0, n);
+  count_issue(c1, n);
+  count_issue(c2, n);
+  count_issue(c3, n);
   stats_.fused_groups++;
   stats_.fused_exec[static_cast<int>(FusedPattern::AddrGen)]++;
-
-  const bool sext = c0.src_type == Type::S32;
-  const std::uint64_t mask64 = c1.b.imm;
-  const std::int64_t sh = static_cast<std::int64_t>(c2.b.imm) & 63;
-  const std::uint64_t* psrc = lane_src(c0.a, regs, width, sp0);
-  const MOp& oth = (c3.a.reg == c2.dst) ? c3.b : c3.a;
-  // The add's second operand may itself name a register an earlier
-  // component just redefined; forward the in-flight value in that case.
-  int osel;
-  const std::uint64_t* po = nullptr;
-  if (oth.reg == c2.dst) {
-    osel = 3;
-  } else if (oth.reg == c1.dst) {
-    osel = 2;
-  } else if (oth.reg == c0.dst) {
-    osel = 1;
+  if (c0.src_type == Type::S32) {
+    fused_addr_gen<kCohort, Type::S32>(divz, ops + pc, regs, width, all, n,
+                                       sp0, sp1);
   } else {
-    osel = 0;
-    po = lane_src(oth, regs, width, sp1);
-  }
-  std::uint64_t* pd0 = regs + static_cast<std::size_t>(c0.dst) * width;
-  std::uint64_t* pd1 = regs + static_cast<std::size_t>(c1.dst) * width;
-  std::uint64_t* pd2 = regs + static_cast<std::size_t>(c2.dst) * width;
-  std::uint64_t* pd3 = regs + static_cast<std::size_t>(c3.dst) * width;
-  for (int i = 0; i < n; ++i) {
-    const int l = kSimd ? i : all[i];
-    const std::uint64_t raw = psrc[l];
-    const std::uint64_t v0 =
-        sext ? static_cast<std::uint64_t>(
-                   static_cast<std::int64_t>(static_cast<std::int32_t>(raw)))
-             : static_cast<std::uint64_t>(static_cast<std::uint32_t>(raw));
-    const std::uint64_t v1 = v0 & mask64;
-    const std::uint64_t v2 = v1 << sh;
-    const std::uint64_t vo =
-        osel == 0 ? po[l] : osel == 1 ? v0 : osel == 2 ? v1 : v2;
-    pd0[l] = v0;
-    pd1[l] = v1;
-    pd2[l] = v2;
-    pd3[l] = v2 + vo;
+    fused_addr_gen<kCohort, Type::U32>(divz, ops + pc, regs, width, all, n,
+                                       sp0, sp1);
   }
   pc += 4;
   GPC_DISPATCH();
@@ -996,20 +575,18 @@ L_FusedShlAdd : {
   check_budget_extra(1);
   stats_.xkind_issues[static_cast<int>(c1.kind)]++;
   if (baiwc) [[unlikely]] baiwc->issue(pc + 1, n);
-  bump_issue(stats_, c0, n);
-  bump_issue(stats_, c1, n);
+  count_issue(c0, n);
+  count_issue(c1, n);
   stats_.fused_groups++;
   stats_.fused_exec[static_cast<int>(FusedPattern::ShlAdd)]++;
   switch (c0.type) {
-    case Type::S32:
-      fused_shladd<kSimd, Type::S32>(c0, c1, regs, width, all, n, sp0, sp1);
-      break;
-    case Type::U32:
-      fused_shladd<kSimd, Type::U32>(c0, c1, regs, width, all, n, sp0, sp1);
-      break;
-    default:
-      fused_shladd<kSimd, Type::U64>(c0, c1, regs, width, all, n, sp0, sp1);
-      break;
+#define GPC_X(T)                                                           \
+  case Type::T:                                                            \
+    fused_pair<kCohort, iop::Shl, iop::Add, Type::T>(                      \
+        divz, c0, c1, regs, width, all, n, sp0, sp1, sp2);                 \
+    break;
+    GPC_X(S32) GPC_X(U32) default : GPC_X(U64)
+#undef GPC_X
   }
   pc += 2;
   GPC_DISPATCH();
@@ -1021,33 +598,19 @@ L_FusedMulAdd : {
   check_budget_extra(1);
   stats_.xkind_issues[static_cast<int>(c1.kind)]++;
   if (baiwc) [[unlikely]] baiwc->issue(pc + 1, n);
-  bump_issue(stats_, c0, n);
-  bump_issue(stats_, c1, n);
+  count_issue(c0, n);
+  count_issue(c1, n);
   stats_.fused_groups++;
   stats_.fused_exec[static_cast<int>(FusedPattern::MulAdd)]++;
-  if (c0.kind == XKind::FloatOp) {
-    if (c0.type == Type::F32) {
-      fused_muladd_f<kSimd, Type::F32>(c0, c1, regs, width, all, n, sp0, sp1,
-                                       sp2);
-    } else {
-      fused_muladd_f<kSimd, Type::F64>(c0, c1, regs, width, all, n, sp0, sp1,
-                                       sp2);
-    }
-  } else {
-    switch (c0.type) {
-      case Type::S32:
-        fused_muladd_i<kSimd, Type::S32>(c0, c1, regs, width, all, n, sp0,
-                                         sp1, sp2);
-        break;
-      case Type::U32:
-        fused_muladd_i<kSimd, Type::U32>(c0, c1, regs, width, all, n, sp0,
-                                         sp1, sp2);
-        break;
-      default:
-        fused_muladd_i<kSimd, Type::U64>(c0, c1, regs, width, all, n, sp0,
-                                         sp1, sp2);
-        break;
-    }
+  switch (c0.type) {
+#define GPC_X(ns, T)                                                       \
+  case Type::T:                                                            \
+    fused_pair<kCohort, ns::Mul, ns::Add, Type::T>(                        \
+        divz, c0, c1, regs, width, all, n, sp0, sp1, sp2);                 \
+    break;
+    GPC_X(fop, F32) GPC_X(fop, F64) GPC_X(iop, S32) GPC_X(iop, U32)
+    default : GPC_X(iop, U64)
+#undef GPC_X
   }
   pc += 2;
   GPC_DISPATCH();
@@ -1061,32 +624,25 @@ L_FusedSetpBra : {
   check_budget_extra(1);
   stats_.xkind_issues[static_cast<int>(c1.kind)]++;
   if (baiwc) [[unlikely]] baiwc->issue(pc + 1, n);
-  bump_issue(stats_, c0, n);
+  count_issue(c0, n);
   stats_.branch_issues++;
   stats_.fused_groups++;
   stats_.fused_exec[static_cast<int>(FusedPattern::SetpBra)]++;
+  std::uint64_t* const pd = regs + static_cast<std::size_t>(c0.dst) * width;
+  const std::uint64_t* const pa = lane_src(c0.a, regs, width, sp0);
+  const std::uint64_t* const pb = lane_src(c0.b, regs, width, sp1);
   switch (c0.type) {
-    case Type::F32:
-      setp_eval<kSimd, Type::F32>(c0, regs, width, all, n, sp0, sp1);
-      break;
-    case Type::F64:
-      setp_eval<kSimd, Type::F64>(c0, regs, width, all, n, sp0, sp1);
-      break;
-    case Type::S32:
-      setp_eval<kSimd, Type::S32>(c0, regs, width, all, n, sp0, sp1);
-      break;
-    case Type::U32:
-      setp_eval<kSimd, Type::U32>(c0, regs, width, all, n, sp0, sp1);
-      break;
-    default:
-      setp_eval<kSimd, Type::U64>(c0, regs, width, all, n, sp0, sp1);
-      break;
+#define GPC_X(T)                                                           \
+  case Type::T:                                                            \
+    setp_typed<kCohort, Type::T>(c0.cmp, all, n, pd, pa, pb);              \
+    break;
+    GPC_X(F32) GPC_X(F64) GPC_X(S32) GPC_X(U32) default : GPC_X(U64)
+#undef GPC_X
   }
-  const std::uint64_t* pd = regs + static_cast<std::size_t>(c0.dst) * width;
   const bool neg = c1.guard_negated;
   int taken = 0;
   for (int i = 0; i < n; ++i) {
-    const int l = kSimd ? i : all[i];
+    const int l = kCohort ? all[i] : i;
     const bool p = (pd[l] & 1) != 0;
     taken += (neg ? !p : p) ? 1 : 0;
   }
@@ -1120,129 +676,18 @@ L_FusedSetpBra : {
   }
 }
 
-  // ---- Typed float arithmetic ---------------------------------------------
-
-  GPC_FLT2(Add, a + b)
-  GPC_FLT2(Sub, a - b)
-  GPC_FLT2(Mul, a * b)
-  GPC_FLT2(Div, ({
-             double r;
-             if (b == 0) {
-               note_div_by_zero(*m);
-               r = 0;
-             } else {
-               r = a / b;
-             }
-             r;
-           }))
-  // GT200-style mad: the multiply rounds to f32 first (both precisions,
-  // matching the scalar interpreter).
-  GPC_FLT2(Mad, static_cast<double>(static_cast<float>(a) *
-                                    static_cast<float>(b)) +
-                    c)
-  GPC_FLT2(Fma, std::fma(a, b, c))
-  GPC_FLT2(Neg, -a)
-  GPC_FLT2(Abs, std::fabs(a))
-  GPC_FLT2(Min, (std::min(a, b)))
-  GPC_FLT2(Max, (std::max(a, b)))
-  GPC_FLT2(Sqrt, std::sqrt(a))
-  GPC_FLT2(Rsqrt, 1.0 / std::sqrt(a))
-  GPC_FLT2(Rcp, 1.0 / a)
-  // f32 sin/cos evaluate at float precision (GPU SFU semantics).
-  L_F32Sin : GPC_FLT_BODY(Type::F32, std::sin(static_cast<float>(a)))
-  L_F64Sin : GPC_FLT_BODY(Type::F64, std::sin(a))
-  L_F32Cos : GPC_FLT_BODY(Type::F32, std::cos(static_cast<float>(a)))
-  L_F64Cos : GPC_FLT_BODY(Type::F64, std::cos(a))
-  GPC_FLT2(Ex2, std::exp2(a))
-  GPC_FLT2(Lg2, std::log2(a))
-
-  // ---- Typed integer arithmetic -------------------------------------------
-
-  GPC_INT3_32(Add, a + b, a + b)
-  GPC_INT3_32(Sub, a - b, a - b)
-  GPC_INT3_32(Mul, a * b, a * b)
-  L_S32MulHi : GPC_INT_BODY(
-      Type::S32,
-      static_cast<std::int64_t>((static_cast<__int128>(a) * b) >> 32))
-  L_U32MulHi : GPC_INT_BODY(
-      Type::U32,
-      static_cast<std::int64_t>((static_cast<__int128>(a) * b) >> 32))
-  L_U64MulHi : GPC_INT_BODY(
-      Type::U64,
-      static_cast<std::int64_t>((static_cast<__int128>(a) * b) >> 64))
-  GPC_INT3(Div, ({
-             std::int64_t r;
-             if (b == 0) {
-               note_div_by_zero(*m);
-               r = 0;
-             } else {
-               r = a / b;
-             }
-             r;
-           }))
-  GPC_INT3(Rem, ({
-             std::int64_t r;
-             if (b == 0) {
-               note_div_by_zero(*m);
-               r = 0;
-             } else {
-               r = a % b;
-             }
-             r;
-           }))
-  GPC_INT3_32(Mad, a* b + c, a* b + c)
-  GPC_INT3_32(Neg, 0u - a, -a)
-  GPC_INT3(Abs, std::abs(a))
-  // Min/Max compare real values, so the 32-bit exprs pick the signedness
-  // explicitly instead of relying on wraparound.
-  L_S32Min : GPC_INT_BODY32(Type::S32,
-                            std::min(static_cast<std::int32_t>(a),
-                                     static_cast<std::int32_t>(b)))
-  L_U32Min : GPC_INT_BODY32(Type::U32, std::min(a, b))
-  L_U64Min : GPC_INT_BODY(Type::U64, (std::min(a, b)))
-  L_S32Max : GPC_INT_BODY32(Type::S32,
-                            std::max(static_cast<std::int32_t>(a),
-                                     static_cast<std::int32_t>(b)))
-  L_U32Max : GPC_INT_BODY32(Type::U32, std::max(a, b))
-  L_U64Max : GPC_INT_BODY(Type::U64, (std::max(a, b)))
-  GPC_INT3_32(And, a& b, a& b)
-  GPC_INT3_32(Or, a | b, a | b)
-  GPC_INT3_32(Xor, a ^ b, a ^ b)
-  // Pred-typed Not routes through ComputeOther; these are the wide variants.
-  GPC_INT3_32(Not, ~a, ~a)
-  L_S32Shl : GPC_INT_BODY32(Type::S32, a << (b & 31))
-  L_U32Shl : GPC_INT_BODY32(Type::U32, a << (b & 31))
-  L_U64Shl : GPC_INT_BODY(Type::U64, a << (b & 63))
-  L_S32Shr : GPC_INT_BODY32(Type::S32,
-                            static_cast<std::int32_t>(a) >> (b & 31))
-  L_U32Shr : GPC_INT_BODY32(Type::U32, a >> (b & 31))
-  L_U64Shr : GPC_INT_BODY(
-      Type::U64, static_cast<std::int64_t>(static_cast<std::uint64_t>(a) >>
-                                           (b & 63)))
 }
 
-#undef GPC_INT3_32
-#undef GPC_INT3
-#undef GPC_INT_BODY32
-#undef GPC_INT_BODY
-#undef GPC_FLT2
-#undef GPC_FLT_BODY
+#undef GPC_ROW
+#undef GPC_C
+#undef GPC_B
+#undef GPC_A
+#undef GPC_COMPUTE
 #undef GPC_DISPATCH
 
-template <bool kSimd>
-void BlockExecutor::run_converged_goto(Warp& w) {
-  CohortRun dummy;  // kCohort=false never reads it
-  engine_goto<kSimd, false>(w, dummy);
-}
-
-BlockExecutor::CohortStop BlockExecutor::run_cohort_goto(Warp& w,
-                                                         CohortRun& run) {
-  return engine_goto<false, true>(w, run);
-}
-
-#endif  // GPC_HAVE_COMPUTED_GOTO
-
-template void BlockExecutor::run_converged_goto<false>(Warp& w);
-template void BlockExecutor::run_converged_goto<true>(Warp& w);
+template BlockExecutor::CohortStop BlockExecutor::engine_goto<false>(
+    Warp& w, CohortRun& run);
+template BlockExecutor::CohortStop BlockExecutor::engine_goto<true>(
+    Warp& w, CohortRun& run);
 
 }  // namespace gpc::sim

@@ -10,7 +10,6 @@
 #include "resil/fault.h"
 #include "resil/policy.h"
 #include "sim/decode.h"
-#include "sim/dispatch.h"
 
 namespace gpc::sim {
 
@@ -73,9 +72,8 @@ LaunchResult launch_kernel(const arch::DeviceSpec& spec,
 
   const DecodedProgram& prog = decoded(ck);  // once per kernel, not per block
 
-  // Dispatch/fusion provenance for the prof counters export: the mode this
-  // launch runs under and the decode pass's static fusion census.
-  result.stats.dispatch = static_cast<int>(dispatch_mode());
+  // Fusion provenance for the prof counters export: the decode pass's
+  // static fusion census.
   result.stats.static_ops = prog.fusion.total_ops;
   result.stats.static_fused_ops = prog.fusion.fused_ops;
   for (int p = 0; p < kNumFusedPatterns; ++p) {
@@ -124,51 +122,61 @@ LaunchResult launch_kernel(const arch::DeviceSpec& spec,
   // term of the timing model, match the unsliced launch. For ordinary
   // launches logical == grid and offset == 0: identical to the plain index.
   const Dim3 logical = cfg.logical();
+  const auto block_id = [&](long long flat) {
+    // Split launches execute a sub-grid at a logical-grid offset.
+    Dim3 bid;
+    bid.x = static_cast<int>(flat % config.grid.x) + cfg.grid_offset.x;
+    bid.y = static_cast<int>((flat / config.grid.x) % config.grid.y) +
+            cfg.grid_offset.y;
+    bid.z = static_cast<int>(flat / (static_cast<long long>(config.grid.x) *
+                                     config.grid.y)) +
+            cfg.grid_offset.z;
+    return bid;
+  };
   ThreadPool& pool = ThreadPool::shared();
 
-  // Contention-free accumulation: each pool slot owns a BlockStats and an
-  // SM-weight vector, merged once below — no mutex on the per-block path.
+  // Contention-free accumulation: each pool slot owns a BlockStats, merged
+  // once below — no mutex on the per-block path. Every BlockStats field is
+  // an integer count (flops too, as an exactly representable double), so
+  // the merge is order-independent. SM weights are not integers; each
+  // block's weight is kept and summed in block order, so they do not depend
+  // on which thread ran which block either.
   const std::size_t nslots = pool.slots();
   std::vector<BlockStats> slot_stats(nslots);
-  std::vector<std::vector<double>> slot_weights(
-      nslots, std::vector<double>(spec.sm_count, 0.0));
+  std::vector<double> block_weight(static_cast<std::size_t>(nblocks), 0.0);
 
+  // A mid-grid fault aborts the launch at its victim block. Exactly the
+  // blocks before the victim run first — their memory writes persist into a
+  // retry, as on a device that faults mid-grid — and none after it, at every
+  // thread count: the pool never races past the victim.
+  const long long nrun = midgrid_victim >= 0 ? midgrid_victim : nblocks;
   pool.parallel_for_slotted(
-      static_cast<std::size_t>(nblocks),
+      static_cast<std::size_t>(nrun),
       [&](std::size_t slot, std::size_t flat) {
-        if (static_cast<long long>(flat) == midgrid_victim) {
-          throw DeviceFault(midgrid_detail + " (block " +
-                            std::to_string(flat) + "/" +
-                            std::to_string(nblocks) + ")");
-        }
-        Dim3 bid;
-        bid.x = static_cast<int>(flat % config.grid.x);
-        bid.y = static_cast<int>((flat / config.grid.x) % config.grid.y);
-        bid.z = static_cast<int>(flat / (static_cast<long long>(config.grid.x) *
-                                         config.grid.y));
-        // Split launches execute a sub-grid at a logical-grid offset.
-        bid.x += cfg.grid_offset.x;
-        bid.y += cfg.grid_offset.y;
-        bid.z += cfg.grid_offset.z;
+        const Dim3 bid = block_id(static_cast<long long>(flat));
         // One arena per OS thread, reused across blocks and launches so the
         // register file / shared memory / scratch allocations amortise away.
         static thread_local ExecArena arena;
         BlockExecutor exec(spec, ck.fn, prog, args, mem, textures, cfg, bid,
                            arena, san.get(), awc.get());
         BlockStats bs = exec.run();
-        const long long logical_flat =
-            (static_cast<long long>(bid.z) * logical.y + bid.y) * logical.x +
-            bid.x;
-        slot_weights[slot][logical_flat % spec.sm_count] +=
-            issue_cycles_for_attribution(bs, spec);
+        block_weight[flat] = issue_cycles_for_attribution(bs, spec);
         slot_stats[slot].merge(bs);
       });
+  if (midgrid_victim >= 0) {
+    throw DeviceFault(midgrid_detail + " (block " +
+                      std::to_string(midgrid_victim) + "/" +
+                      std::to_string(nblocks) + ")");
+  }
 
-  for (std::size_t s = 0; s < nslots; ++s) {
-    result.stats.total.merge(slot_stats[s]);
-    for (int sm = 0; sm < spec.sm_count; ++sm) {
-      result.stats.sm_issue_weight[sm] += slot_weights[s][sm];
-    }
+  for (const BlockStats& s : slot_stats) result.stats.total.merge(s);
+  for (long long flat = 0; flat < nblocks; ++flat) {
+    const Dim3 bid = block_id(flat);
+    const long long logical_flat =
+        (static_cast<long long>(bid.z) * logical.y + bid.y) * logical.x +
+        bid.x;
+    result.stats.sm_issue_weight[logical_flat % spec.sm_count] +=
+        block_weight[flat];
   }
 
   result.timing = time_kernel(spec, runtime, ck, config, result.stats);

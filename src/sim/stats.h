@@ -37,17 +37,17 @@ struct BlockStats {
   std::uint64_t atomic_serial_ops = 0;
 
   // Dynamic instruction mix: one bump per scheduler-issued warp instruction,
-  // indexed by sim::XKind (16 buckets). Mode-invariant: every dispatch mode
-  // issues the same warp-instruction sequence, so these compare bit-for-bit
-  // across switch/threaded/simd and the min-PC scheduler (locked by
-  // tests/dispatch_test.cpp). Exported per launch via GPC_PROF=counters.
+  // indexed by sim::XKind (16 buckets). Engine-invariant: the production
+  // engine issues the same warp-instruction sequence as the min-PC oracle,
+  // so these compare bit-for-bit (locked by tests/dispatch_test.cpp).
+  // Exported per launch via GPC_PROF=counters.
   std::uint64_t xkind_issues[16] = {};
 
   // Superinstruction execution: groups dispatched fused, total and per
   // sim::FusedPattern. These are diagnostics of HOW the interpreter ran, not
-  // of what the kernel did — the only BlockStats fields that legitimately
-  // differ across dispatch modes (the switch engine and the min-PC scheduler
-  // never execute fused groups). Cross-mode comparisons must exclude them.
+  // of what the kernel did — they legitimately differ between the
+  // production engine and the min-PC oracle (which never executes fused
+  // groups). Cross-engine comparisons must exclude them.
   std::uint64_t fused_groups = 0;
   std::uint64_t fused_exec[4] = {};
 
@@ -55,7 +55,7 @@ struct BlockStats {
   // §15): branch splits, cohort merges, the peak number of simultaneously
   // live cohorts in one warp, and the deepest reconvergence-stack nesting
   // seen. Like fused_*, these describe HOW the interpreter ran — the min-PC
-  // scheduler reports zeros — so cross-mode comparisons must exclude them.
+  // oracle reports zeros — so cross-engine comparisons must exclude them.
   // splits/merges sum across blocks; the two maxima merge by max.
   std::uint64_t cohort_splits = 0;
   std::uint64_t cohort_merges = 0;
@@ -106,13 +106,11 @@ struct LaunchStats {
   int blocks = 0;
   int threads_per_block = 0;
 
-  /// Dispatch/fusion provenance of this launch, carried into the prof
-  /// counters export. `dispatch` is the sim::DispatchMode the launch ran
-  /// under; the static_* fields are the decode pass's fusion census of the
-  /// kernel (sim::FusionStats): program length, micro-ops covered by fused
+  /// Fusion provenance of this launch, carried into the prof counters
+  /// export: the decode pass's fusion census of the kernel
+  /// (sim::FusionStats) — program length, micro-ops covered by fused
   /// groups, and groups per sim::FusedPattern. Like BlockStats::fused_*,
   /// these describe how the interpreter ran, not what the kernel computed.
-  int dispatch = 0;
   std::uint32_t static_ops = 0;
   std::uint32_t static_fused_ops = 0;
   std::uint32_t static_fused_groups[4] = {};

@@ -4,7 +4,8 @@
 // initial capacity), stride classification follows the documented lane-delta
 // priority, finalize() keeps the exported metric order and entropy bounds,
 // and — the determinism contract — the merged per-launch feature digest is
-// bit-identical across every dispatch engine, both compiler front-ends, and
+// bit-identical across the production engine and the min-PC oracle, both
+// compiler front-ends, and
 // every execution shape that slices a launch (resil split launches, virt
 // force-sliced tenants, sanitizer on). Disarmed launches carry no features,
 // produce bit-identical results, and keep the hook sites cheap.
@@ -32,7 +33,6 @@
 #include "resil/fault.h"
 #include "resil/policy.h"
 #include "sim/decode.h"
-#include "sim/dispatch.h"
 #include "sim/launch.h"
 #include "virt/virt.h"
 
@@ -67,39 +67,23 @@ const bool g_single_sim_thread = [] {
   return true;
 }();
 
-/// RAII engine selector (dispatch_test.cpp): mode < 0 disables the
-/// convergent fast path so every warp runs the min-PC reference scheduler.
+/// RAII engine selector (dispatch_test.cpp): `oracle` disables the
+/// convergent fast path so every warp runs the min-PC reference scheduler;
+/// otherwise the production engine runs.
 class EngineGuard {
  public:
-  explicit EngineGuard(int mode)
-      : prev_mode_(sim::dispatch_mode()),
-        prev_fast_(sim::convergent_fast_path_enabled()) {
-    if (mode < 0) {
-      sim::set_convergent_fast_path(false);
-    } else {
-      sim::set_convergent_fast_path(true);
-      sim::set_dispatch_mode(static_cast<sim::DispatchMode>(mode));
-    }
+  explicit EngineGuard(bool oracle)
+      : prev_fast_(sim::convergent_fast_path_enabled()) {
+    sim::set_convergent_fast_path(!oracle);
   }
-  ~EngineGuard() {
-    sim::set_dispatch_mode(prev_mode_);
-    sim::set_convergent_fast_path(prev_fast_);
-  }
+  ~EngineGuard() { sim::set_convergent_fast_path(prev_fast_); }
 
  private:
-  sim::DispatchMode prev_mode_;
   bool prev_fast_;
 };
 
-constexpr int kMinPc = -1;
-constexpr int kEngines[] = {static_cast<int>(sim::DispatchMode::Switch),
-                            static_cast<int>(sim::DispatchMode::Threaded),
-                            static_cast<int>(sim::DispatchMode::Simd)};
-
-std::string engine_name(int mode) {
-  return mode < 0 ? "minpc"
-                  : sim::to_string(static_cast<sim::DispatchMode>(mode));
-}
+constexpr bool kOracle = true;
+constexpr bool kProduction = false;
 
 /// RAII profiler mode switch: snapshots stay scoped to the test and the
 /// process-exit report is disarmed again on the way out.
@@ -516,7 +500,7 @@ TEST_F(AiwcTest, DigestBitIdenticalAcrossEnginesFrontEndsAndShapes) {
     std::uint64_t ref = 0;
     std::vector<std::int32_t> ref_out;
     {
-      EngineGuard guard(kMinPc);
+      EngineGuard guard(kOracle);
       harness::DeviceSession s(arch::gtx480(), tc);
       const auto pr = run_probe(s);
       ASSERT_TRUE(pr.feats);
@@ -524,9 +508,8 @@ TEST_F(AiwcTest, DigestBitIdenticalAcrossEnginesFrontEndsAndShapes) {
       ref = pr.feats->digest();
       ref_out = pr.out;
     }
-    for (const int mode : kEngines) {
-      SCOPED_TRACE("engine " + engine_name(mode));
-      EngineGuard guard(mode);
+    {
+      EngineGuard guard(kProduction);
       {  // plain
         harness::DeviceSession s(arch::gtx480(), tc);
         const auto pr = run_probe(s);
@@ -604,15 +587,12 @@ TEST_F(AiwcTest, RecorderFeatureStreamEngineInvariantOnRealBenchmark) {
   };
   std::map<std::string, std::uint64_t> ref;
   {
-    EngineGuard guard(kMinPc);
+    EngineGuard guard(kOracle);
     ref = digests();
   }
   ASSERT_FALSE(ref.empty()) << "no launch carried features";
-  for (const int mode : kEngines) {
-    SCOPED_TRACE("engine " + engine_name(mode));
-    EngineGuard guard(mode);
-    EXPECT_EQ(digests(), ref);
-  }
+  EngineGuard guard(kProduction);
+  EXPECT_EQ(digests(), ref);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,19 +1,22 @@
-// Dispatch-engine differential tests (Issue 7): the three interpreter
-// engines selected by GPC_SIM_DISPATCH — switch (nested-switch reference),
-// threaded (computed-goto over the widened XOp table with superinstruction
-// fusion) and simd (the goto engine with contiguous vectorizable lane
-// loops) — must be bit-identical to the min-PC divergence scheduler for
-// every registered benchmark, through both compiler front-ends, with the
-// sanitizer on and off, and under gpc::virt preempt/resume slicing. The
-// decode-level fusion pass is locked structurally (fused groups annotate,
-// never rewrite, the micro-op stream), and integer div/rem-by-zero keeps
-// its CUDA semantics (result 0, memcheck diagnostic) in every engine.
-// Labelled "dispatch" in ctest; tools/run_tsan.sh runs it under tsan.
+// Production-engine differential tests: the production engine (computed-goto
+// dispatch with superinstruction fusion on the convergent path, the
+// reconvergence-stack cohort scheduler for divergent warps) must be
+// bit-identical to the min-PC oracle for every registered benchmark, through
+// both compiler front-ends, with the sanitizer on and off, and under
+// gpc::virt preempt/resume slicing. The decode-level fusion pass is locked
+// structurally (fused groups annotate, never rewrite, the micro-op stream),
+// and integer div/rem-by-zero keeps its CUDA semantics (result 0, memcheck
+// diagnostic) on both. The two share one definition of every op
+// (sim/op_semantics.h), so op semantics are checked against host values in
+// tests/interp_ops_test.cpp; these tests lock scheduling, fusion and
+// accounting. Labelled "dispatch" in ctest; tools/run_tsan.sh runs it under
+// tsan.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -26,7 +29,6 @@
 #include "kernel/builder.h"
 #include "common/error.h"
 #include "sim/decode.h"
-#include "sim/dispatch.h"
 #include "sim/launch.h"
 #include "sim/sanitizer.h"
 #include "virt/virt.h"
@@ -40,53 +42,38 @@ using kernel::KernelDef;
 using kernel::Val;
 using kernel::Var;
 
-// One simulator thread so the floating-point `flops` merge order is
-// identical across runs and the assertions below can demand exact equality
-// (same reasoning as differential_test.cpp / virt_test.cpp).
+// Default to one simulator thread; an explicit GPC_SIM_THREADS (the ctest
+// determinism matrix) is kept, and the exact equality below must hold there
+// too (same reasoning as differential_test.cpp).
 const bool g_single_sim_thread = [] {
-  ::setenv("GPC_SIM_THREADS", "1", /*overwrite=*/1);
+  ::setenv("GPC_SIM_THREADS", "1", /*overwrite=*/0);
   return true;
 }();
 
-/// RAII engine selector. `minpc` (mode < 0) force-disables the convergent
-/// fast path so every warp runs the min-PC divergence scheduler — the
-/// reference all three engines are compared against.
+/// The two ways to run a block: the min-PC oracle and the production engine.
+enum class Engine { Oracle, Production };
+
+/// RAII engine selector over the one test hook that picks it.
 class EngineGuard {
  public:
-  explicit EngineGuard(int mode)
-      : prev_mode_(sim::dispatch_mode()),
-        prev_fast_(sim::convergent_fast_path_enabled()) {
-    if (mode < 0) {
-      sim::set_convergent_fast_path(false);
-    } else {
-      sim::set_convergent_fast_path(true);
-      sim::set_dispatch_mode(static_cast<sim::DispatchMode>(mode));
-    }
+  explicit EngineGuard(Engine e) : prev_(sim::convergent_fast_path_enabled()) {
+    sim::set_convergent_fast_path(e == Engine::Production);
   }
-  ~EngineGuard() {
-    sim::set_dispatch_mode(prev_mode_);
-    sim::set_convergent_fast_path(prev_fast_);
-  }
+  ~EngineGuard() { sim::set_convergent_fast_path(prev_); }
 
  private:
-  sim::DispatchMode prev_mode_;
-  bool prev_fast_;
+  bool prev_;
 };
 
-constexpr int kMinPc = -1;
-constexpr int kEngines[] = {static_cast<int>(sim::DispatchMode::Switch),
-                            static_cast<int>(sim::DispatchMode::Threaded),
-                            static_cast<int>(sim::DispatchMode::Simd)};
-
-std::string engine_name(int mode) {
-  return mode < 0 ? "minpc"
-                  : sim::to_string(static_cast<sim::DispatchMode>(mode));
+const char* engine_name(Engine e) {
+  return e == Engine::Oracle ? "oracle" : "production";
 }
 
+void PrintTo(Engine e, std::ostream* os) { *os << engine_name(e); }
+
 /// Full BlockStats equality including the dynamic instruction mix
-/// (xkind_issues is mode-invariant by design), excluding only fused_groups /
-/// fused_exec — the documented mode-dependent diagnostics of HOW the
-/// interpreter ran (stats.h).
+/// (xkind_issues is engine-invariant by design), excluding only the fused_*
+/// and cohort_* diagnostics of HOW the interpreter ran (stats.h).
 void expect_stats_equal(const sim::BlockStats& a, const sim::BlockStats& b) {
   EXPECT_EQ(a.alu_issues, b.alu_issues);
   EXPECT_EQ(a.ialu_issues, b.ialu_issues);
@@ -116,32 +103,7 @@ void expect_stats_equal(const sim::BlockStats& a, const sim::BlockStats& b) {
 }
 
 // ---------------------------------------------------------------------------
-// Knob parsing / names
-
-TEST(DispatchKnob, ParsesAllModeNamesAndRejectsJunk) {
-  sim::DispatchMode m = sim::DispatchMode::Switch;
-  EXPECT_TRUE(sim::parse_dispatch_mode("switch", &m));
-  EXPECT_EQ(m, sim::DispatchMode::Switch);
-  EXPECT_TRUE(sim::parse_dispatch_mode("threaded", &m));
-  EXPECT_EQ(m, sim::DispatchMode::Threaded);
-  EXPECT_TRUE(sim::parse_dispatch_mode("simd", &m));
-  EXPECT_EQ(m, sim::DispatchMode::Simd);
-
-  m = sim::DispatchMode::Threaded;
-  EXPECT_FALSE(sim::parse_dispatch_mode(nullptr, &m));
-  EXPECT_FALSE(sim::parse_dispatch_mode("", &m));
-  EXPECT_FALSE(sim::parse_dispatch_mode("vectorized", &m));
-  EXPECT_EQ(m, sim::DispatchMode::Threaded) << "junk must not clobber out";
-
-  // Round trip: the names the knob accepts are the names it prints (and the
-  // names the prof counters exporter writes).
-  for (int mode : kEngines) {
-    const auto dm = static_cast<sim::DispatchMode>(mode);
-    sim::DispatchMode back = sim::DispatchMode::Switch;
-    ASSERT_TRUE(sim::parse_dispatch_mode(sim::to_string(dm), &back));
-    EXPECT_EQ(back, dm);
-  }
-}
+// Names
 
 TEST(DispatchKnob, XKindNamesAreUniqueAndStable) {
   std::vector<std::string> names;
@@ -241,8 +203,8 @@ TEST(Fusion, AnnotatesWithoutRewritingMxM) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine differential: every registered benchmark, every engine, both
-// front-ends, vs the min-PC scheduler
+// Engine differential: every registered benchmark, both front-ends, the
+// production engine vs the min-PC oracle
 
 class DispatchDifferential
     : public ::testing::TestWithParam<const bench::Benchmark*> {};
@@ -264,20 +226,17 @@ TEST_P(DispatchDifferential, AllEnginesMatchMinPcOnAllBenchmarks) {
     SCOPED_TRACE(b.name() + " on " + combo.device.name);
     bench::Result ref;
     {
-      EngineGuard guard(kMinPc);
+      EngineGuard guard(Engine::Oracle);
       ref = b.run(combo.device, combo.tc, opts);
     }
-    for (int mode : kEngines) {
-      SCOPED_TRACE("engine " + engine_name(mode));
-      EngineGuard guard(mode);
-      const bench::Result got = b.run(combo.device, combo.tc, opts);
-      EXPECT_EQ(got.status, ref.status);
-      EXPECT_EQ(got.correct, ref.correct);
-      EXPECT_EQ(got.launches, ref.launches);
-      EXPECT_EQ(got.value, ref.value);
-      EXPECT_EQ(got.seconds, ref.seconds);
-      expect_stats_equal(got.stats, ref.stats);
-    }
+    EngineGuard guard(Engine::Production);
+    const bench::Result got = b.run(combo.device, combo.tc, opts);
+    EXPECT_EQ(got.status, ref.status);
+    EXPECT_EQ(got.correct, ref.correct);
+    EXPECT_EQ(got.launches, ref.launches);
+    EXPECT_EQ(got.value, ref.value);
+    EXPECT_EQ(got.seconds, ref.seconds);
+    expect_stats_equal(got.stats, ref.stats);
   }
 }
 
@@ -288,47 +247,44 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param->name();
     });
 
-// The goto engines really execute superinstructions on a convergent
+// The production engine really executes superinstructions on a convergent
 // workload (otherwise the differential above would pass vacuously with
-// fusion dead); the switch engine and min-PC scheduler never do.
+// fusion dead); the min-PC oracle never does.
 TEST(DispatchDifferential2, FusedExecutionHappensOnlyInGotoEngines) {
   const bench::Benchmark& mxm = bench::benchmark_by_name("MxM");
   bench::Options opts;
   opts.scale = 0.25;
-  std::uint64_t fused[3] = {};
-  for (int mode : kEngines) {
-    EngineGuard guard(mode);
+  std::uint64_t fused[2] = {};
+  for (const Engine e : {Engine::Oracle, Engine::Production}) {
+    EngineGuard guard(e);
     const bench::Result r = mxm.run(arch::gtx480(), Toolchain::Cuda, opts);
     ASSERT_EQ(r.status, "OK");
-    fused[mode] = r.stats.fused_groups;
+    fused[static_cast<int>(e)] = r.stats.fused_groups;
   }
-  EXPECT_EQ(fused[static_cast<int>(sim::DispatchMode::Switch)], 0u);
-  EXPECT_GT(fused[static_cast<int>(sim::DispatchMode::Threaded)], 0u);
-  // Same engine logic, different lane loops: identical fusion behaviour.
-  EXPECT_EQ(fused[static_cast<int>(sim::DispatchMode::Threaded)],
-            fused[static_cast<int>(sim::DispatchMode::Simd)]);
+  EXPECT_EQ(fused[static_cast<int>(Engine::Oracle)], 0u);
+  EXPECT_GT(fused[static_cast<int>(Engine::Production)], 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Sanitizer on/off: the checking layer must not change results in any
-// engine, and the engines must agree with min-PC while it is on (the goto
-// engines route sanitized memory ops through the generic path — that seam
-// is exactly what this locks).
+// Sanitizer on/off: the checking layer must not change results in either
+// engine, and production must agree with the oracle while it is on (the
+// production engine routes sanitized memory ops through the generic path —
+// that seam is exactly what this locks).
 
 TEST(DispatchSanitizer, SanitizedRunsStayBitIdenticalInEveryEngine) {
   const bench::Benchmark& b = bench::benchmark_by_name("MxM");
   bench::Options opts;
   opts.scale = 0.25;
 
-  bench::Result ref;  // min-PC, sanitizer off
+  bench::Result ref;  // oracle, sanitizer off
   {
-    EngineGuard guard(kMinPc);
+    EngineGuard guard(Engine::Oracle);
     ref = b.run(arch::gtx480(), Toolchain::Cuda, opts);
   }
   ::setenv("GPC_SIM_SANITIZE", "all", /*overwrite=*/1);
-  for (int mode : kEngines) {
-    SCOPED_TRACE("engine " + engine_name(mode));
-    EngineGuard guard(mode);
+  for (const Engine e : {Engine::Oracle, Engine::Production}) {
+    SCOPED_TRACE(engine_name(e));
+    EngineGuard guard(e);
     const bench::Result got = b.run(arch::gtx480(), Toolchain::Cuda, opts);
     EXPECT_EQ(got.status, ref.status);
     EXPECT_EQ(got.value, ref.value);
@@ -340,14 +296,13 @@ TEST(DispatchSanitizer, SanitizedRunsStayBitIdenticalInEveryEngine) {
 
 // ---------------------------------------------------------------------------
 // virt preempt/resume: maximal slicing (one block per slice) must stay
-// bit-identical in every engine — checkpoint/restore cuts through the goto
-// engines' converged runs.
+// bit-identical on both engines — checkpoint/restore cuts through the
+// production engine's converged runs.
 
-class DispatchVirt : public ::testing::TestWithParam<int> {};
+class DispatchVirt : public ::testing::TestWithParam<Engine> {};
 
 TEST_P(DispatchVirt, ForceSlicedTenantMatchesPlainSessionPerEngine) {
-  const int mode = GetParam();
-  EngineGuard guard(mode);
+  EngineGuard guard(GetParam());
   for (const char* name : {"MxM", "BFS"}) {  // convergent + divergent
     SCOPED_TRACE(name);
     const bench::Benchmark& b = bench::benchmark_by_name(name);
@@ -377,13 +332,14 @@ TEST_P(DispatchVirt, ForceSlicedTenantMatchesPlainSessionPerEngine) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, DispatchVirt,
-                         ::testing::ValuesIn(kEngines),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return engine_name(info.param);
+                         ::testing::Values(Engine::Oracle,
+                                           Engine::Production),
+                         [](const ::testing::TestParamInfo<Engine>& info) {
+                           return std::string(engine_name(info.param));
                          });
 
 // ---------------------------------------------------------------------------
-// Integer div/rem by zero: result 0 on the device in every engine, one
+// Integer div/rem by zero: result 0 on the device on both engines, one
 // deduplicated memcheck diagnostic per static micro-op when enabled.
 
 TEST(DispatchDivByZero, QuotientIsZeroAndMemcheckFlagsItInEveryEngine) {
@@ -406,10 +362,9 @@ TEST(DispatchDivByZero, QuotientIsZeroAndMemcheckFlagsItInEveryEngine) {
   for (auto tc : {Toolchain::Cuda, Toolchain::OpenCl}) {
     SCOPED_TRACE(arch::to_string(tc));
     const auto ck = compiler::compile(def, tc);
-    for (int mode = kMinPc; mode <= static_cast<int>(sim::DispatchMode::Simd);
-         ++mode) {
-      SCOPED_TRACE("engine " + engine_name(mode));
-      EngineGuard guard(mode);
+    for (const Engine e : {Engine::Oracle, Engine::Production}) {
+      SCOPED_TRACE(engine_name(e));
+      EngineGuard guard(e);
       for (const bool sanitize : {false, true}) {
         sim::DeviceMemory mem(1 << 20);
         const auto d_out = mem.alloc(threads * 4);
@@ -447,24 +402,12 @@ TEST(DispatchDivByZero, QuotientIsZeroAndMemcheckFlagsItInEveryEngine) {
 }
 
 // ---------------------------------------------------------------------------
-// Cohort-scheduler divergence battery (Issue 8): hand-built kernels with
-// known divergence shapes — nested branches four deep, a loop broken out of
-// under a divergent guard, a warp ground down to width-1 cohorts, and
-// divergent barriers (fault and synccheck report) — must behave identically
-// across min-PC and all three engines, through both front-ends, and the
-// cohort diagnostics must light up exactly when the cohort scheduler ran.
-
-/// RAII guard for the GPC_SIM_COHORT knob.
-class CohortGuard {
- public:
-  explicit CohortGuard(bool on) : prev_(sim::cohort_scheduler_enabled()) {
-    sim::set_cohort_scheduler(on);
-  }
-  ~CohortGuard() { sim::set_cohort_scheduler(prev_); }
-
- private:
-  bool prev_;
-};
+// Cohort-scheduler divergence battery: hand-built kernels with known
+// divergence shapes — nested branches four deep, a loop broken out of under
+// a divergent guard, a warp ground down to width-1 cohorts, and divergent
+// barriers (fault and synccheck report) — must behave identically on the
+// oracle and the production engine, through both front-ends, and the cohort
+// diagnostics must light up exactly when the cohort scheduler ran.
 
 struct DivergentRun {
   std::vector<std::int32_t> out;
@@ -501,9 +444,10 @@ DivergentRun run_divergent_kernel(const kernel::KernelDef& def, Toolchain tc,
   return r;
 }
 
-/// Runs `def` under min-PC and every engine, for both front-ends, and
-/// demands bit-identical outputs, stats and fault strings. Returns the
-/// per-engine runs of the LAST toolchain for extra assertions.
+/// Runs `def` on the oracle and the production engine, for both
+/// front-ends, and demands bit-identical outputs, stats and fault strings.
+/// Returns both engines' runs of the LAST toolchain (oracle first) for extra
+/// assertions.
 std::vector<DivergentRun> expect_divergence_differential(
     const std::function<kernel::KernelDef()>& make, int threads,
     bool synccheck = false) {
@@ -513,17 +457,16 @@ std::vector<DivergentRun> expect_divergence_differential(
     engine_runs.clear();
     DivergentRun ref;
     {
-      EngineGuard guard(kMinPc);
+      EngineGuard guard(Engine::Oracle);
       ref = run_divergent_kernel(make(), tc, threads, synccheck);
     }
-    // Min-PC never runs the cohort scheduler: its diagnostics stay zero.
+    // The oracle never runs the cohort scheduler: its diagnostics stay zero.
     EXPECT_EQ(ref.stats.cohort_splits, 0u);
     EXPECT_EQ(ref.stats.cohort_merges, 0u);
     EXPECT_EQ(ref.stats.cohort_max_live, 0u);
     EXPECT_EQ(ref.stats.div_depth_max, 0u);
-    for (int mode : kEngines) {
-      SCOPED_TRACE("engine " + engine_name(mode));
-      EngineGuard guard(mode);
+    {
+      EngineGuard guard(Engine::Production);
       DivergentRun got = run_divergent_kernel(make(), tc, threads, synccheck);
       EXPECT_EQ(got.out, ref.out);
       EXPECT_EQ(got.fault, ref.fault);
@@ -537,6 +480,7 @@ std::vector<DivergentRun> expect_divergence_differential(
         EXPECT_EQ(got.findings[i].occurrences, ref.findings[i].occurrences);
         EXPECT_EQ(got.findings[i].cohort_mask, ref.findings[i].cohort_mask);
       }
+      engine_runs.push_back(std::move(ref));
       engine_runs.push_back(std::move(got));
     }
   }
@@ -582,19 +526,16 @@ KernelDef nested_branches_kernel() {
 TEST(DispatchDivergence, NestedBranchesDepthFourBitIdentical) {
   const auto runs =
       expect_divergence_differential(nested_branches_kernel, 32);
-  // runs is in kEngines order: switch never uses the cohort scheduler, the
-  // goto engines must have recorded splits, merges and the nesting depth.
-  ASSERT_EQ(runs.size(), 3u);
-  EXPECT_EQ(runs[0].stats.cohort_splits, 0u);
-  for (std::size_t e = 1; e < runs.size(); ++e) {
-    const DivergentRun& r = runs[e];
-    EXPECT_GT(r.stats.cohort_splits, 0u);
-    EXPECT_GT(r.stats.cohort_merges, 0u);
-    EXPECT_GE(r.stats.cohort_max_live, 3u);
-    EXPECT_GE(r.stats.div_depth_max, 4u);
-  }
+  // The production engine must have recorded splits, merges and the
+  // nesting depth.
+  ASSERT_EQ(runs.size(), 2u);
+  const DivergentRun& prod = runs[1];
+  EXPECT_GT(prod.stats.cohort_splits, 0u);
+  EXPECT_GT(prod.stats.cohort_merges, 0u);
+  EXPECT_GE(prod.stats.cohort_max_live, 3u);
+  EXPECT_GE(prod.stats.div_depth_max, 4u);
   // Output spot-check against the host: lane 15 takes every branch.
-  EngineGuard guard(static_cast<int>(sim::DispatchMode::Threaded));
+  EngineGuard guard(Engine::Production);
   const DivergentRun r =
       run_divergent_kernel(nested_branches_kernel(), Toolchain::Cuda, 32);
   EXPECT_EQ(r.out[15], 15 + 15000 + 4 + 90);
@@ -623,7 +564,7 @@ TEST(DispatchDivergence, LoopBreakFromDivergentGuardBitIdentical) {
     return kb.finish();
   };
   expect_divergence_differential(make, 32);
-  EngineGuard guard(static_cast<int>(sim::DispatchMode::Simd));
+  EngineGuard guard(Engine::Production);
   const DivergentRun r = run_divergent_kernel(make(), Toolchain::Cuda, 32);
   for (int g = 0; g < 64; ++g) {
     EXPECT_EQ(r.out[g], 40 - (g % 32)) << "global id " << g;
@@ -650,19 +591,17 @@ TEST(DispatchDivergence, WarpGrindsDownToWidthOneCohorts) {
     return kb.finish();
   };
   const auto runs = expect_divergence_differential(make, 32);
-  ASSERT_EQ(runs.size(), 3u);
-  EXPECT_EQ(runs[0].stats.cohort_splits, 0u);  // switch: min-PC path
-  for (std::size_t e = 1; e < runs.size(); ++e) {
-    // One split per lane departure per warp, two blocks of one warp each.
-    EXPECT_GE(runs[e].stats.cohort_splits, 60u);
-    EXPECT_GT(runs[e].stats.cohort_merges, 0u);
-  }
-  EngineGuard guard(static_cast<int>(sim::DispatchMode::Threaded));
+  ASSERT_EQ(runs.size(), 2u);
+  // One split per lane departure per warp, two blocks of one warp each.
+  EXPECT_GE(runs[1].stats.cohort_splits, 60u);
+  EXPECT_GT(runs[1].stats.cohort_merges, 0u);
+  EngineGuard guard(Engine::Production);
   const DivergentRun r = run_divergent_kernel(make(), Toolchain::Cuda, 32);
   for (int g = 0; g < 64; ++g) {
-    std::int32_t acc = 1;
+    // The device's s32 arithmetic wraps; so does the host's, in uint32.
+    std::uint32_t acc = 1;
     for (int i = 0; i < g % 32; ++i) acc = 3 * acc + i;
-    EXPECT_EQ(r.out[g], acc) << "global id " << g;
+    EXPECT_EQ(r.out[g], static_cast<std::int32_t>(acc)) << "global id " << g;
   }
 }
 
@@ -743,34 +682,10 @@ TEST(DispatchDivergence, BarrierLoopStragglersReportedAtTrueLocation) {
     EXPECT_EQ(f.occurrences, 6u);
   }
   // And the loop still completes: every lane wrote i == tid.
-  EngineGuard guard(static_cast<int>(sim::DispatchMode::Threaded));
+  EngineGuard guard(Engine::Production);
   const DivergentRun r =
       run_divergent_kernel(make(), Toolchain::Cuda, 4, /*synccheck=*/true);
   for (int g = 0; g < 8; ++g) EXPECT_EQ(r.out[g], g % 4);
-}
-
-TEST(DispatchDivergence, CohortKnobOffFallsBackToMinPcScheduler) {
-  // GPC_SIM_COHORT=0: the goto engines keep their convergent fast path but
-  // divergent warps return to the per-step min-PC scan — results identical,
-  // cohort diagnostics zero.
-  EngineGuard engine(static_cast<int>(sim::DispatchMode::Threaded));
-  DivergentRun on;
-  {
-    CohortGuard cohort(true);
-    on = run_divergent_kernel(nested_branches_kernel(), Toolchain::Cuda, 32);
-  }
-  DivergentRun off;
-  {
-    CohortGuard cohort(false);
-    off = run_divergent_kernel(nested_branches_kernel(), Toolchain::Cuda, 32);
-  }
-  EXPECT_GT(on.stats.cohort_splits, 0u);
-  EXPECT_EQ(off.stats.cohort_splits, 0u);
-  EXPECT_EQ(off.stats.cohort_merges, 0u);
-  EXPECT_EQ(off.stats.cohort_max_live, 0u);
-  EXPECT_EQ(off.stats.div_depth_max, 0u);
-  EXPECT_EQ(on.out, off.out);
-  expect_stats_equal(on.stats, off.stats);
 }
 
 }  // namespace

@@ -3,16 +3,22 @@
 // arithmetic, plus atomics, type conversions and integer edge cases.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <limits>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/device_spec.h"
 #include "compiler/pipeline.h"
 #include "kernel/builder.h"
-#include "sim/dispatch.h"
 #include "sim/interp.h"
 #include "sim/launch.h"
+#include "sim/op_semantics.h"
 
 namespace gpc {
 namespace {
@@ -374,37 +380,26 @@ TEST(FloatOps, SinCosUseDoublePrecisionForF64) {
 }
 
 // ---------------------------------------------------------------------------
-// Divergent-cohort op coverage (Issue 8): ops whose goto-engine handlers
-// have a dedicated cohort path (special-register reads, guarded shared
-// memory) must produce exact per-lane values when the executing cohort's
-// lane set is sparse and non-consecutive — under every scheduler.
+// Divergent-cohort op coverage: ops whose production handlers have a
+// dedicated cohort path (special-register reads, guarded shared memory)
+// must produce exact per-lane values when the executing cohort's lane set is
+// sparse and non-consecutive — on the production engine and the oracle.
 
-/// Saves and restores the engine knobs around a test body.
+/// Saves and restores the engine selection around a test body.
 class AllSchedulersLoop {
  public:
-  AllSchedulersLoop()
-      : prev_mode_(sim::dispatch_mode()),
-        prev_fast_(sim::convergent_fast_path_enabled()) {}
-  ~AllSchedulersLoop() {
-    sim::set_dispatch_mode(prev_mode_);
-    sim::set_convergent_fast_path(prev_fast_);
-  }
+  AllSchedulersLoop() : prev_fast_(sim::convergent_fast_path_enabled()) {}
+  ~AllSchedulersLoop() { sim::set_convergent_fast_path(prev_fast_); }
 
-  /// Runs fn once per scheduler: min-PC, switch, threaded, simd.
+  /// Runs fn once per engine: the min-PC oracle, then production.
   void run(const std::function<void(const std::string&)>& fn) {
     sim::set_convergent_fast_path(false);
-    sim::set_dispatch_mode(sim::DispatchMode::Switch);
-    fn("minpc");
+    fn("oracle");
     sim::set_convergent_fast_path(true);
-    for (auto m : {sim::DispatchMode::Switch, sim::DispatchMode::Threaded,
-                   sim::DispatchMode::Simd}) {
-      sim::set_dispatch_mode(m);
-      fn(sim::to_string(m));
-    }
+    fn("production");
   }
 
  private:
-  sim::DispatchMode prev_mode_;
   bool prev_fast_;
 };
 
@@ -490,6 +485,362 @@ TEST_P(BothToolchains, SharedMemorySwapUnderDivergentGuard) {
       EXPECT_EQ(got[g], want) << "global id " << g;
     }
   });
+}
+
+// ---------------------------------------------------------------------------
+// Op semantics, row by row. The production engine and the min-PC oracle are
+// both instantiated from the rows of sim/op_semantics.h, so the engine
+// differential (tests/dispatch_test.cpp) cannot catch a wrong row. Every
+// float row at F32/F64 and every integer row at S32/U32/U64 runs here as a
+// single IR instruction against literal host-computed values, on both
+// engines, once convergent and once with the warp split on lane parity (the
+// production engine then runs the op on a sparse cohort lane list).
+
+using ir::Opcode;
+using ir::Type;
+
+std::uint64_t bf32(float v) { return std::bit_cast<std::uint32_t>(v); }
+std::uint64_t bf64(double v) { return std::bit_cast<std::uint64_t>(v); }
+std::uint64_t bs32(std::int32_t v) { return static_cast<std::uint32_t>(v); }
+
+/// One lane's operands and expected result, as raw register bits of the
+/// op's type (32-bit types in the low half).
+struct OpCase {
+  std::uint64_t a = 0, b = 0, c = 0;
+  std::uint64_t want = 0;
+};
+
+/// Runs `op.t d, a, b, c` with one lane per case (lane i loads case i's
+/// operands from global memory) and returns each lane's raw result bits.
+std::vector<std::uint64_t> run_op(Opcode op, Type t,
+                                  const std::vector<OpCase>& cases,
+                                  bool divergent) {
+  ir::FunctionBuilder fb("op_row");
+  fb.add_param({"in", Type::U64, /*is_pointer=*/true, ir::Space::Global});
+  fb.add_param({"out", Type::U64, /*is_pointer=*/true, ir::Space::Global});
+  const auto emit = [&](Opcode o, Type ty, ir::Operand a,
+                        ir::Operand b = ir::Operand::none()) {
+    ir::Instr in;
+    in.op = o;
+    in.type = ty;
+    in.dst = fb.new_reg();
+    in.a = a;
+    in.b = b;
+    fb.emit(in);
+    return in.dst;
+  };
+  const auto ld = [&](ir::Space space, Type ty, ir::Operand addr) {
+    ir::Instr in;
+    in.op = Opcode::Ld;
+    in.space = space;
+    in.type = ty;
+    in.dst = fb.new_reg();
+    in.a = addr;
+    fb.emit(in);
+    return in.dst;
+  };
+  const auto reg = [](int r) { return ir::Operand::vreg(r); };
+  const int in_ptr = ld(ir::Space::Param, Type::U64, ir::Operand::imm(0));
+  const int out_ptr = ld(ir::Space::Param, Type::U64, ir::Operand::imm(1));
+  ir::Instr tid;
+  tid.op = Opcode::ReadSReg;
+  tid.sreg = ir::SReg::TidX;
+  tid.dst = fb.new_reg();
+  fb.emit(tid);
+  ir::Instr widen;
+  widen.op = Opcode::Cvt;
+  widen.type = Type::U64;
+  widen.src_type = Type::S32;
+  widen.dst = fb.new_reg();
+  widen.a = reg(tid.dst);
+  fb.emit(widen);
+  const int t64 = widen.dst;
+  const int base = emit(Opcode::Add, Type::U64, reg(in_ptr),
+                        reg(emit(Opcode::Mul, Type::U64, reg(t64),
+                                 ir::Operand::imm(24))));
+  int operand[3];
+  for (int k = 0; k < 3; ++k) {
+    operand[k] = ld(ir::Space::Global, t,
+                    reg(emit(Opcode::Add, Type::U64, reg(base),
+                             ir::Operand::imm(8 * k))));
+  }
+  ir::Instr row;
+  row.op = op;
+  row.type = t;
+  row.dst = fb.new_reg();
+  row.a = reg(operand[0]);
+  row.b = reg(operand[1]);
+  row.c = reg(operand[2]);
+  if (divergent) {
+    ir::Instr even;
+    even.op = Opcode::SetP;
+    even.type = Type::U64;
+    even.cmp = ir::CmpOp::Eq;
+    even.dst = fb.new_reg();
+    even.a = reg(emit(Opcode::And, Type::U64, reg(t64), ir::Operand::imm(1)));
+    even.b = ir::Operand::imm(0);
+    fb.emit(even);
+    const int on_even = fb.new_label();
+    const int join = fb.new_label();
+    fb.emit_branch(on_even, even.dst);
+    fb.emit(row);
+    fb.emit_branch(join);
+    fb.bind_label(on_even);
+    fb.emit(row);
+    fb.bind_label(join);
+  } else {
+    fb.emit(row);
+  }
+  ir::Instr st;
+  st.op = Opcode::St;
+  st.space = ir::Space::Global;
+  st.type = t;
+  st.a = reg(emit(Opcode::Add, Type::U64, reg(out_ptr),
+                  reg(emit(Opcode::Mul, Type::U64, reg(t64),
+                           ir::Operand::imm(8)))));
+  st.b = reg(row.dst);
+  fb.emit(st);
+  fb.emit(ir::Instr{});  // Exit
+
+  compiler::CompiledKernel ck;
+  ck.fn = fb.finish();
+  ck.ptx = ck.fn;
+
+  const int lanes = static_cast<int>(cases.size());
+  std::vector<std::uint64_t> in(3 * cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    in[3 * i] = cases[i].a;
+    in[3 * i + 1] = cases[i].b;
+    in[3 * i + 2] = cases[i].c;
+  }
+  std::vector<std::uint64_t> out(cases.size(), 0);
+  sim::DeviceMemory mem(1 << 20);
+  const auto d_in = mem.alloc(in.size() * 8);
+  const auto d_out = mem.alloc(out.size() * 8);
+  mem.write(d_in, in.data(), in.size() * 8);
+  mem.write(d_out, out.data(), out.size() * 8);
+  sim::LaunchConfig cfg;
+  cfg.grid = {1, 1, 1};
+  cfg.block = {lanes, 1, 1};
+  std::vector<sim::KernelArg> args = {sim::KernelArg::ptr(d_in),
+                                      sim::KernelArg::ptr(d_out)};
+  sim::launch_kernel(arch::gtx480(), arch::cuda_runtime(), ck, cfg, args,
+                     mem);
+  mem.read(d_out, out.data(), out.size() * 8);
+  return out;
+}
+
+using RowTable = std::map<std::pair<Opcode, Type>, std::vector<OpCase>>;
+
+RowTable float_row_cases() {
+  RowTable t;
+  // a = b = 1 + 2^-12: a*b = 1 + 2^-11 + 2^-24 exactly, which f32 rounds
+  // (tie to even) to 1 + 2^-11. GT200 mad rounds the product to f32 first,
+  // so adding c = -(1 + 2^-11) cancels to 0; fma keeps the 2^-24.
+  const float xf = 1.0f + 0x1p-12f, cf = -(1.0f + 0x1p-11f);
+  const double xd = 1.0 + 0x1p-12, cd = -(1.0 + 0x1p-11);
+  t[{Opcode::Add, Type::F32}] = {{bf32(1.5f), bf32(2.25f), 0, bf32(3.75f)},
+                                 {bf32(1e8f), bf32(1.0f), 0, bf32(1e8f)}};
+  t[{Opcode::Add, Type::F64}] = {{bf64(1.5), bf64(2.25), 0, bf64(3.75)},
+                                 {bf64(1e8), bf64(1.0), 0, bf64(100000001.0)}};
+  t[{Opcode::Sub, Type::F32}] = {{bf32(1.5f), bf32(2.25f), 0, bf32(-0.75f)}};
+  t[{Opcode::Sub, Type::F64}] = {{bf64(1.5), bf64(2.25), 0, bf64(-0.75)}};
+  t[{Opcode::Mul, Type::F32}] = {{bf32(1.5f), bf32(-2.0f), 0, bf32(-3.0f)},
+                                 {bf32(xf), bf32(xf), 0, bf32(1.0f + 0x1p-11f)}};
+  t[{Opcode::Mul, Type::F64}] = {
+      {bf64(1.5), bf64(-2.0), 0, bf64(-3.0)},
+      {bf64(xd), bf64(xd), 0, bf64(1.0 + 0x1p-11 + 0x1p-24)}};
+  // Division by zero (either sign) yields 0 on the device, not inf.
+  t[{Opcode::Div, Type::F32}] = {{bf32(1.0f), bf32(4.0f), 0, bf32(0.25f)},
+                                 {bf32(3.0f), bf32(0.0f), 0, bf32(0.0f)},
+                                 {bf32(3.0f), bf32(-0.0f), 0, bf32(0.0f)}};
+  t[{Opcode::Div, Type::F64}] = {{bf64(1.0), bf64(4.0), 0, bf64(0.25)},
+                                 {bf64(3.0), bf64(0.0), 0, bf64(0.0)},
+                                 {bf64(3.0), bf64(-0.0), 0, bf64(0.0)}};
+  t[{Opcode::Mad, Type::F32}] = {
+      {bf32(2.0f), bf32(3.0f), bf32(1.0f), bf32(7.0f)},
+      {bf32(xf), bf32(xf), bf32(cf), bf32(0.0f)}};
+  // F64 mad rounds its product to f32 too: 1 + 2^-30 becomes 1.0f.
+  t[{Opcode::Mad, Type::F64}] = {
+      {bf64(2.0), bf64(3.0), bf64(1.0), bf64(7.0)},
+      {bf64(xd), bf64(xd), bf64(cd), bf64(0.0)},
+      {bf64(1.0 + 0x1p-30), bf64(1.0), bf64(0.0), bf64(1.0)}};
+  t[{Opcode::Fma, Type::F32}] = {
+      {bf32(2.0f), bf32(3.0f), bf32(1.0f), bf32(7.0f)},
+      {bf32(xf), bf32(xf), bf32(cf), bf32(0x1p-24f)}};
+  t[{Opcode::Fma, Type::F64}] = {
+      {bf64(2.0), bf64(3.0), bf64(1.0), bf64(7.0)},
+      {bf64(xd), bf64(xd), bf64(cd), bf64(0x1p-24)},
+      {bf64(1.0 + 0x1p-30), bf64(1.0), bf64(0.0), bf64(1.0 + 0x1p-30)}};
+  t[{Opcode::Neg, Type::F32}] = {{bf32(2.5f), 0, 0, bf32(-2.5f)}};
+  t[{Opcode::Neg, Type::F64}] = {{bf64(2.5), 0, 0, bf64(-2.5)}};
+  t[{Opcode::Abs, Type::F32}] = {{bf32(-2.5f), 0, 0, bf32(2.5f)}};
+  t[{Opcode::Abs, Type::F64}] = {{bf64(-2.5), 0, 0, bf64(2.5)}};
+  t[{Opcode::Min, Type::F32}] = {{bf32(-1.0f), bf32(2.0f), 0, bf32(-1.0f)},
+                                 {bf32(3.0f), bf32(2.0f), 0, bf32(2.0f)}};
+  t[{Opcode::Min, Type::F64}] = {{bf64(-1.0), bf64(2.0), 0, bf64(-1.0)},
+                                 {bf64(3.0), bf64(2.0), 0, bf64(2.0)}};
+  t[{Opcode::Max, Type::F32}] = {{bf32(-1.0f), bf32(2.0f), 0, bf32(2.0f)},
+                                 {bf32(3.0f), bf32(2.0f), 0, bf32(3.0f)}};
+  t[{Opcode::Max, Type::F64}] = {{bf64(-1.0), bf64(2.0), 0, bf64(2.0)},
+                                 {bf64(3.0), bf64(2.0), 0, bf64(3.0)}};
+  t[{Opcode::Sqrt, Type::F32}] = {
+      {bf32(2.0f), 0, 0, bf32(static_cast<float>(std::sqrt(2.0)))}};
+  t[{Opcode::Sqrt, Type::F64}] = {{bf64(2.0), 0, 0, bf64(std::sqrt(2.0))}};
+  t[{Opcode::Rsqrt, Type::F32}] = {
+      {bf32(4.0f), 0, 0, bf32(0.5f)},
+      {bf32(2.0f), 0, 0, bf32(static_cast<float>(1.0 / std::sqrt(2.0)))}};
+  t[{Opcode::Rsqrt, Type::F64}] = {
+      {bf64(4.0), 0, 0, bf64(0.5)},
+      {bf64(2.0), 0, 0, bf64(1.0 / std::sqrt(2.0))}};
+  t[{Opcode::Rcp, Type::F32}] = {
+      {bf32(4.0f), 0, 0, bf32(0.25f)},
+      {bf32(3.0f), 0, 0, bf32(static_cast<float>(1.0 / 3.0))}};
+  t[{Opcode::Rcp, Type::F64}] = {{bf64(4.0), 0, 0, bf64(0.25)},
+                                 {bf64(3.0), 0, 0, bf64(1.0 / 3.0)}};
+  // Other f32 ops evaluate in double and round once; f32 sin/cos evaluate
+  // at float precision, f64 at double precision.
+  t[{Opcode::Sin, Type::F32}] = {{bf32(0.5f), 0, 0, bf32(std::sin(0.5f))}};
+  t[{Opcode::Sin, Type::F64}] = {{bf64(0.5), 0, 0, bf64(std::sin(0.5))}};
+  t[{Opcode::Cos, Type::F32}] = {{bf32(0.5f), 0, 0, bf32(std::cos(0.5f))}};
+  t[{Opcode::Cos, Type::F64}] = {{bf64(0.5), 0, 0, bf64(std::cos(0.5))}};
+  t[{Opcode::Ex2, Type::F32}] = {{bf32(3.0f), 0, 0, bf32(8.0f)},
+                                 {bf32(0.5f), 0, 0, bf32(static_cast<float>(std::exp2(0.5)))}};
+  t[{Opcode::Ex2, Type::F64}] = {{bf64(3.0), 0, 0, bf64(8.0)},
+                                 {bf64(0.5), 0, 0, bf64(std::exp2(0.5))}};
+  t[{Opcode::Lg2, Type::F32}] = {{bf32(8.0f), 0, 0, bf32(3.0f)}};
+  t[{Opcode::Lg2, Type::F64}] = {{bf64(8.0), 0, 0, bf64(3.0)}};
+  return t;
+}
+
+RowTable int_row_cases() {
+  constexpr std::int32_t kMin32 = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kMax32 = std::numeric_limits<std::int32_t>::max();
+  constexpr std::uint64_t kTop64 = 1ull << 63;
+  constexpr std::uint64_t kAll64 = ~0ull;
+  RowTable t;
+  // Add/Sub/Mul/Mad/Neg wrap at the type's width.
+  t[{Opcode::Add, Type::S32}] = {{bs32(-5), bs32(3), 0, bs32(-2)},
+                                 {bs32(kMax32), bs32(1), 0, bs32(kMin32)}};
+  t[{Opcode::Add, Type::U32}] = {{0xFFFFFFFFu, 1, 0, 0}, {7, 8, 0, 15}};
+  t[{Opcode::Add, Type::U64}] = {{kAll64, 1, 0, 0}, {kTop64, kTop64, 0, 0}};
+  t[{Opcode::Sub, Type::S32}] = {{bs32(3), bs32(5), 0, bs32(-2)},
+                                 {bs32(kMin32), bs32(1), 0, bs32(kMax32)}};
+  t[{Opcode::Sub, Type::U32}] = {{0, 1, 0, 0xFFFFFFFFu}};
+  t[{Opcode::Sub, Type::U64}] = {{0, 1, 0, kAll64}};
+  t[{Opcode::Mul, Type::S32}] = {{bs32(-3), bs32(7), 0, bs32(-21)},
+                                 {bs32(0x10000), bs32(0x10000), 0, 0}};
+  t[{Opcode::Mul, Type::U32}] = {{0x10000, 0x10001, 0, 0x10000},
+                                 {0xFFFFFFFFu, 0xFFFFFFFFu, 0, 1}};
+  t[{Opcode::Mul, Type::U64}] = {{1ull << 32, 1ull << 32, 0, 0},
+                                 {kAll64, kAll64, 0, 1}};
+  // MulHi: the high half of the double-width product, signed or unsigned.
+  t[{Opcode::MulHi, Type::S32}] = {
+      {bs32(-2), bs32(3), 0, bs32(-1)},
+      {bs32(kMin32), bs32(kMin32), 0, bs32(0x40000000)}};
+  t[{Opcode::MulHi, Type::U32}] = {{0xFFFFFFFFu, 2, 0, 1},
+                                   {0xFFFFFFFFu, 0xFFFFFFFFu, 0, 0xFFFFFFFEu}};
+  t[{Opcode::MulHi, Type::U64}] = {{kTop64, 4, 0, 2},
+                                   {kAll64, kAll64, 0, kAll64 - 1}};
+  // Div/Rem truncate toward zero; by zero they yield 0.
+  t[{Opcode::Div, Type::S32}] = {{bs32(-7), bs32(2), 0, bs32(-3)},
+                                 {bs32(7), bs32(0), 0, 0},
+                                 {bs32(kMin32), bs32(-1), 0, bs32(kMin32)}};
+  t[{Opcode::Div, Type::U32}] = {{0xFFFFFFFEu, 2, 0, 0x7FFFFFFFu},
+                                 {7, 0, 0, 0}};
+  t[{Opcode::Div, Type::U64}] = {{kTop64, 2, 0, kTop64 >> 1}, {7, 0, 0, 0}};
+  t[{Opcode::Rem, Type::S32}] = {{bs32(-7), bs32(2), 0, bs32(-1)},
+                                 {bs32(7), bs32(0), 0, 0}};
+  t[{Opcode::Rem, Type::U32}] = {{0xFFFFFFFFu, 10, 0, 5}, {7, 0, 0, 0}};
+  t[{Opcode::Rem, Type::U64}] = {{kAll64, 10, 0, 5}, {7, 0, 0, 0}};
+  t[{Opcode::Mad, Type::S32}] = {{bs32(3), bs32(4), bs32(-20), bs32(-8)}};
+  t[{Opcode::Mad, Type::U32}] = {{0xFFFFFFFFu, 2, 3, 1}};
+  t[{Opcode::Mad, Type::U64}] = {{kAll64, 2, 3, 1}};
+  t[{Opcode::Neg, Type::S32}] = {{bs32(5), 0, 0, bs32(-5)},
+                                 {bs32(kMin32), 0, 0, bs32(kMin32)}};
+  t[{Opcode::Neg, Type::U32}] = {{1, 0, 0, 0xFFFFFFFFu}};
+  t[{Opcode::Neg, Type::U64}] = {{1, 0, 0, kAll64}};
+  // Abs of an unsigned value is the value itself.
+  t[{Opcode::Abs, Type::S32}] = {{bs32(-5), 0, 0, bs32(5)},
+                                 {bs32(kMin32), 0, 0, bs32(kMin32)}};
+  t[{Opcode::Abs, Type::U32}] = {{0xFFFFFFFBu, 0, 0, 0xFFFFFFFBu}};
+  t[{Opcode::Abs, Type::U64}] = {{kAll64, 0, 0, kAll64}};
+  // Min/Max compare signed for S32, unsigned for U32/U64.
+  t[{Opcode::Min, Type::S32}] = {{bs32(-1), bs32(1), 0, bs32(-1)}};
+  t[{Opcode::Min, Type::U32}] = {{0xFFFFFFFFu, 1, 0, 1}};
+  t[{Opcode::Min, Type::U64}] = {{kTop64, 1, 0, 1}};
+  t[{Opcode::Max, Type::S32}] = {{bs32(-1), bs32(1), 0, bs32(1)}};
+  t[{Opcode::Max, Type::U32}] = {{0xFFFFFFFFu, 1, 0, 0xFFFFFFFFu}};
+  t[{Opcode::Max, Type::U64}] = {{kTop64, 1, 0, kTop64}};
+  t[{Opcode::And, Type::S32}] = {{bs32(-4), bs32(7), 0, bs32(4)}};
+  t[{Opcode::And, Type::U32}] = {{0xF0F0F0F0u, 0xFF00FF00u, 0, 0xF000F000u}};
+  t[{Opcode::And, Type::U64}] = {{kAll64, kTop64 | 5, 0, kTop64 | 5}};
+  t[{Opcode::Or, Type::S32}] = {{bs32(-8), bs32(3), 0, bs32(-5)}};
+  t[{Opcode::Or, Type::U32}] = {{0xF0000000u, 0x0000000Fu, 0, 0xF000000Fu}};
+  t[{Opcode::Or, Type::U64}] = {{kTop64, 1, 0, kTop64 | 1}};
+  t[{Opcode::Xor, Type::S32}] = {{bs32(-1), bs32(5), 0, bs32(-6)}};
+  t[{Opcode::Xor, Type::U32}] = {{0xFFFF0000u, 0xFF00FF00u, 0, 0x00FFFF00u}};
+  t[{Opcode::Xor, Type::U64}] = {{kAll64, kTop64, 0, kTop64 - 1}};
+  t[{Opcode::Not, Type::S32}] = {{bs32(0), 0, 0, bs32(-1)}};
+  t[{Opcode::Not, Type::U32}] = {{0x0F0F0F0Fu, 0, 0, 0xF0F0F0F0u}};
+  t[{Opcode::Not, Type::U64}] = {{0, 0, 0, kAll64}};
+  // Shift counts are masked to the type's width.
+  t[{Opcode::Shl, Type::S32}] = {{bs32(1), bs32(31), 0, bs32(kMin32)},
+                                 {bs32(1), bs32(33), 0, bs32(2)}};
+  t[{Opcode::Shl, Type::U32}] = {{1, 32, 0, 1}, {3, 4, 0, 48}};
+  t[{Opcode::Shl, Type::U64}] = {{1, 63, 0, kTop64}, {1, 65, 0, 2}};
+  // Shr is arithmetic for S32, logical for U32/U64.
+  t[{Opcode::Shr, Type::S32}] = {{bs32(-16), bs32(2), 0, bs32(-4)},
+                                 {bs32(-16), bs32(34), 0, bs32(-4)},
+                                 {bs32(-1), bs32(31), 0, bs32(-1)}};
+  t[{Opcode::Shr, Type::U32}] = {{0x80000000u, 31, 0, 1},
+                                 {0x80000000u, 33, 0, 0x40000000u}};
+  t[{Opcode::Shr, Type::U64}] = {{kTop64, 63, 0, 1}, {kTop64, 65, 0, kTop64 >> 1}};
+  return t;
+}
+
+void expect_rows_match_host(const RowTable& table,
+                            const std::vector<Opcode>& rows,
+                            const std::vector<Type>& types) {
+  for (const Opcode op : rows) {
+    for (const Type t : types) {
+      SCOPED_TRACE(std::string(ir::to_string(op)) + "." + ir::to_string(t));
+      const auto it = table.find({op, t});
+      ASSERT_NE(it, table.end()) << "row without host cases";
+      const std::uint64_t mask =
+          ir::size_of(t) == 4 ? 0xFFFFFFFFull : ~0ull;
+      AllSchedulersLoop loop;
+      loop.run([&](const std::string& engine) {
+        for (const bool divergent : {false, true}) {
+          SCOPED_TRACE(engine + (divergent ? ", divergent" : ", convergent"));
+          const auto got = run_op(op, t, it->second, divergent);
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i] & mask, it->second[i].want & mask)
+                << "case " << i;
+          }
+        }
+      });
+    }
+  }
+}
+
+TEST(OpSemantics, EveryFloatRowMatchesHostOnBothEngines) {
+  const std::vector<Opcode> rows = {
+#define GPC_X(name, ...) Opcode::name,
+      GPC_XOP_FLOAT_OPS(GPC_X)
+#undef GPC_X
+  };
+  expect_rows_match_host(float_row_cases(), rows, {Type::F32, Type::F64});
+}
+
+TEST(OpSemantics, EveryIntRowMatchesHostOnBothEngines) {
+  const std::vector<Opcode> rows = {
+#define GPC_X(name, ...) Opcode::name,
+      GPC_XOP_INT_OPS(GPC_X)
+#undef GPC_X
+  };
+  expect_rows_match_host(int_row_cases(), rows,
+                         {Type::S32, Type::U32, Type::U64});
 }
 
 }  // namespace

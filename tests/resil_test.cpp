@@ -243,6 +243,57 @@ TEST_F(ResilTest, MidGridInjectionFaultsBothRuntimes) {
       << q.last_error();
 }
 
+// A mid-grid fault runs exactly the blocks before its victim, at every
+// thread count: the retry then starts from the same memory image however
+// many threads the pool has (ctest also runs this at GPC_SIM_THREADS=4).
+TEST_F(ResilTest, MidGridFaultRunsExactlyTheBlocksBeforeTheVictim) {
+  constexpr int kBlocks = 256;
+  // A seed whose first mid-grid draw hits a low block past the first pool
+  // chunk, so a pool racing past the victim would write later slots.
+  std::uint64_t seed = 1;
+  long long victim = -1;
+  for (;; ++seed) {
+    resil::FaultPlan probe;
+    resil::SiteSpec spec;
+    spec.enabled = true;
+    spec.seed = seed;
+    probe.set(resil::Site::MidGrid, spec);
+    victim = static_cast<long long>(
+        probe.sample(resil::Site::MidGrid, "probe")->aux % kBlocks);
+    if (victim >= 16 && victim < 64) break;
+  }
+  arm(resil::Site::MidGrid, 1.0, seed, 0, 1);
+
+  KernelBuilder kb("block_id");
+  auto out = kb.ptr_param("out", ir::Type::S32);
+  kb.if_(kb.tid_x() == 0, [&] { kb.st(out, kb.ctaid_x(), kb.ctaid_x()); });
+  const auto ck = compiler::compile(kb.finish(), Toolchain::Cuda);
+  sim::DeviceMemory mem(1 << 20);
+  const auto d_out = mem.alloc(kBlocks * 4);
+  std::vector<std::int32_t> slots(kBlocks, -1);
+  mem.write(d_out, slots.data(), kBlocks * 4);
+  sim::LaunchConfig cfg;
+  cfg.grid = {kBlocks, 1, 1};
+  cfg.block = {32, 1, 1};
+  const std::vector<sim::KernelArg> args = {sim::KernelArg::ptr(d_out)};
+  try {
+    (void)sim::launch_kernel(arch::gtx480(), arch::cuda_runtime(), ck, cfg,
+                             args, mem);
+    FAIL() << "expected DeviceFault";
+  } catch (const DeviceFault& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "(block " + std::to_string(victim) + "/256)"),
+              std::string::npos)
+        << e.what();
+  }
+  mem.read(d_out, slots.data(), kBlocks * 4);
+  for (int b = 0; b < kBlocks; ++b) {
+    EXPECT_EQ(slots[b], b < victim ? b : -1)
+        << "block " << b << ", victim " << victim << ", "
+        << ThreadPool::shared().size() << " pool workers";
+  }
+}
+
 TEST_F(ResilTest, HangInjectionTripsWatchdogWithoutSpinning) {
   arm(resil::Site::Hang, 1.0, 13);
   const auto trips_before = resil::counters().watchdog_trips.load();

@@ -39,10 +39,10 @@ using kernel::Unroll;
 using kernel::Val;
 using kernel::Var;
 
-// Deterministic block execution for the differential assertions (same
-// rationale as virt_test.cpp): one sim worker means flat block order.
+// One sim worker by default; an explicit GPC_SIM_THREADS (the ctest
+// determinism matrix) is kept (same rationale as virt_test.cpp).
 const bool g_single_threaded = [] {
-  ::setenv("GPC_SIM_THREADS", "1", /*overwrite=*/1);
+  ::setenv("GPC_SIM_THREADS", "1", /*overwrite=*/0);
   return true;
 }();
 

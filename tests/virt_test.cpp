@@ -30,14 +30,14 @@ using kernel::Unroll;
 using kernel::Val;
 using kernel::Var;
 
-// Single-threaded block execution so the differential assertions below can
-// demand EXACT equality: with one worker, blocks run in flat order in both
-// the sliced and unsliced executions, so even the floating-point
-// accumulations (flops, per-SM issue weights) see the identical sequence of
-// additions. Static initialization order: this runs before main(), before
-// the pool is constructed.
+// Single-threaded block execution by default. Launch results do not depend
+// on the thread count (per-SM issue weights are summed in block order), so
+// an explicit GPC_SIM_THREADS — the ctest determinism matrix — is kept and
+// the differential assertions below must hold there too. Static
+// initialization order: this runs before main(), before the pool is
+// constructed.
 const bool g_single_threaded = [] {
-  ::setenv("GPC_SIM_THREADS", "1", /*overwrite=*/1);
+  ::setenv("GPC_SIM_THREADS", "1", /*overwrite=*/0);
   return true;
 }();
 

@@ -22,7 +22,7 @@ fi
 # derived from what the machine can actually do, not from a noisy run.
 best=""
 for i in 1 2 3; do
-  "$BIN" --workload=mxm --dispatch=simd --write-floor="$OUT.try$i" >/dev/null
+  "$BIN" --workload=mxm --write-floor="$OUT.try$i" >/dev/null
   m=$(sed -n 's/.*"measured_minstr_per_sec": \([0-9.]*\).*/\1/p' "$OUT.try$i")
   echo "run $i: $m Minstr/sec"
   if [[ -z "$best" ]] || awk "BEGIN{exit !($m > $best)}"; then

@@ -8,8 +8,9 @@
 # atomic call/injection counters and armed() gate run on every worker
 # thread, and the gpc::virt tests, whose fair-share scheduler hands the
 # driver role between concurrently submitting tenant threads — plus the
-# dispatch-engine differential tests, which toggle the process-wide
-# GPC_SIM_DISPATCH knob while the block pool executes — and the gpc::aiwc
+# production-vs-oracle differential tests, which flip the process-wide
+# engine test hook (sim::set_convergent_fast_path) between launches on the
+# block pool — and the gpc::aiwc
 # tests, whose per-block collectors merge into the launch Collector under a
 # mutex while the recorder's latency histogram takes relaxed atomic hits —
 # and the gpc::serve tests, whose sharded queues, worker pool, completion

@@ -26,12 +26,12 @@ Checks, stdlib only (run as a ctest, label "prof"):
     (the serve_trace_schema ctest);
   * the remaining counters.jsonl lines are valid JSON with the full
     BlockStats counter set
-    (21 counters) plus the dispatch/instruction-mix/fusion fields
-    (dispatch mode, per-XKind issue mix, fused execution + static census)
-    and the cohort-scheduler divergence diagnostics (splits, merges,
-    max_live, depth_max). Every launch record must carry all of these —
-    divergent launches included (records from split warps used to omit the
-    dispatch/static-fusion keys, which this check now rejects) — and the
+    (21 counters) plus the instruction-mix/fusion fields (per-XKind issue
+    mix, fused execution + static census) and the cohort-scheduler
+    divergence diagnostics (splits, merges, max_live, depth_max). Every
+    launch record must carry all of these — divergent launches included
+    (records from split warps used to omit the static-fusion keys, which
+    this check now rejects) — and the
     line count equals the trace's kernel-slice count when both files come
     from the same run;
   * aiwc.jsonl lines (gpc::aiwc, DESIGN.md §16) carry the full finalize()
@@ -67,11 +67,10 @@ COUNTER_KEYS = (
 JSONL_KEYS = (
     "kernel", "runtime", "device", "blocks", "tpb", "seconds", "launch_s",
     "issue_s", "dram_s", "latency_factor", "occupancy", "resident_warps",
-    "limiter", "counters", "dispatch", "xkind_issues", "fused_groups",
+    "limiter", "counters", "xkind_issues", "fused_groups",
     "fused_exec", "static_fusion", "cohort",
 )
 COHORT_KEYS = ("splits", "merges", "max_live", "depth_max")
-DISPATCH_MODES = ("switch", "threaded", "simd")
 XKIND_KEYS = (
     "bra", "exit", "bar", "ld_param", "mem_global", "mem_shared",
     "mem_local", "mem_const", "mem_tex", "read_sreg", "mov", "cvt",
@@ -328,8 +327,6 @@ def validate_counters(path, expect_lines):
             extra = set(counters) - set(COUNTER_KEYS)
             if extra:
                 err("%s: unknown counters %s" % (where, sorted(extra)))
-            if rec.get("dispatch") not in DISPATCH_MODES:
-                err("%s: bad dispatch %r" % (where, rec.get("dispatch")))
             for obj_key, keys in (("xkind_issues", XKIND_KEYS),
                                   ("fused_exec", FUSED_KEYS)):
                 obj = rec.get(obj_key)
