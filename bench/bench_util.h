@@ -5,13 +5,17 @@
 // bench_output.txt is directly comparable to the paper's evaluation section.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <thread>
 
 #include "arch/device_spec.h"
 #include "common/log.h"
 #include "common/table.h"
+#include "common/thread_pool.h"
 #include "harness/benchmark.h"
 #include "prof/prof.h"
 
@@ -105,6 +109,38 @@ inline void add_breakdown_row(TextTable& t, const std::string& label,
              fmt(r.issue_seconds * 1e3, 3), fmt(r.dram_seconds * 1e3, 3),
              fmt(100.0 * r.occupancy.fraction, 0) + "%",
              r.occupancy.limiter});
+}
+
+/// The commit the binary was run from (`git describe --always --dirty`),
+/// or "unknown" outside a git checkout.
+inline std::string commit() {
+  std::string out;
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> p(
+      popen("git describe --always --dirty --abbrev=12 2>/dev/null", "r"),
+      pclose);
+  if (p) {
+    char buf[128];
+    while (std::fgets(buf, sizeof(buf), p.get())) out += buf;
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
+    out.pop_back();
+  }
+  return out.empty() ? "unknown" : out;
+}
+
+/// The "host" object every BENCH_*.json record carries, so numbers from
+/// different machines or builds are never compared by accident: cores,
+/// simulator threads, build type, compiler and commit.
+inline std::string host_json() {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "{\"nproc\": %u, \"sim_threads\": %zu, "
+                "\"build_type\": \"%s\", \"compiler\": \"%s\", "
+                "\"commit\": \"%s\"}",
+                std::thread::hardware_concurrency(),
+                std::max<std::size_t>(1, ThreadPool::shared().size()),
+                GPC_BUILD_TYPE, GPC_COMPILER, commit().c_str());
+  return buf;
 }
 
 }  // namespace gpc::benchbin

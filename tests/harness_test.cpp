@@ -47,6 +47,21 @@ TEST_P(SessionBothToolchains, RoundTripsDataAndRunsKernels) {
   EXPECT_EQ(s.kernel_seconds(), 0.0);
 }
 
+TEST_P(SessionBothToolchains, LaunchDecodesTheCallersKernelOnce) {
+  // The decode cache fills on the caller's CompiledKernel, not on a copy,
+  // so the second launch reuses it on both runtimes.
+  harness::DeviceSession s(arch::gtx480(), GetParam());
+  const auto d = s.alloc(128 * 4);
+  auto ck = s.compile(doubler());
+  ASSERT_EQ(ck.sim_cache, nullptr);
+  std::vector<sim::KernelArg> args = {sim::KernelArg::ptr(d)};
+  s.launch(ck, {1, 1, 1}, {128, 1, 1}, args);
+  const compiler::KernelCache* first = ck.sim_cache.get();
+  ASSERT_NE(first, nullptr);
+  s.launch(ck, {1, 1, 1}, {128, 1, 1}, args);
+  EXPECT_EQ(ck.sim_cache.get(), first);
+}
+
 TEST_P(SessionBothToolchains, OversizedKernelReportsOutOfResources) {
   // CUDA only targets NVIDIA parts; use the GTX280 there (16 KB shared) and
   // exercise the Cell/BE path under OpenCL.

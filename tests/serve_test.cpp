@@ -227,6 +227,48 @@ TEST_F(ServeTest, ServesBothFrontEnds) {
   EXPECT_EQ(s32_values(cu.wait().outputs[0]), s32_values(cl.wait().outputs[0]));
 }
 
+// Each of 32 threads reads the word `past` elements beyond the end of its
+// 32-element `out` (past the session's bump pointer), reports it in
+// out[tid], then stores a marker there.
+std::shared_ptr<const KernelDef> stray_store_kernel(int past) {
+  KernelBuilder kb("stray_store");
+  auto out = kb.ptr_param("out", ir::Type::S32);
+  Val stray = kb.tid_x() + (32 + past);
+  Var seen = kb.var_s32("seen");
+  kb.set(seen, kb.ld(out, stray));
+  kb.st(out, stray, kb.c32(0x5eed));
+  kb.st(out, kb.tid_x(), seen);
+  return std::make_shared<KernelDef>(kb.finish());
+}
+
+TEST_F(ServeTest, StoresPastAJobsBuffersDoNotLeakIntoTheNextJob) {
+  // One worker, so job B runs on the session job A dirtied, at the same
+  // addresses: the per-job reset must have zeroed A's stray stores.
+  serve::ServeConfig cfg;
+  cfg.workers = 1;
+  serve::Server server(cfg);
+  const auto k = stray_store_kernel(4096);
+  for (Toolchain tc : {Toolchain::Cuda, Toolchain::OpenCl}) {
+    for (int job = 0; job < 2; ++job) {
+      serve::JobSpec spec;
+      spec.kernel = k;
+      spec.device = &arch::gtx480();
+      spec.toolchain = tc;
+      spec.grid = {1, 1, 1};
+      spec.block = {32, 1, 1};
+      spec.args.push_back(serve::JobArg::buffer(
+          s32_bytes(std::vector<std::int32_t>(32, -1)), /*readback=*/true));
+      const serve::JobHandle h = server.submit(std::move(spec));
+      const serve::Completion& c = h.wait();
+      ASSERT_EQ(c.cls, serve::JobClass::Ok) << c.detail;
+      EXPECT_EQ(s32_values(c.outputs[0]), std::vector<std::int32_t>(32, 0))
+          << "job " << job;
+    }
+  }
+  server.shutdown();
+  EXPECT_EQ(server.stats().ok, 4u);
+}
+
 TEST_F(ServeTest, MalformedJobsAreRejectedNotShed) {
   serve::ServeConfig cfg;
   cfg.workers = 1;
