@@ -136,8 +136,8 @@ Status CommandQueue::enqueue_read_buffer(void* dst, Buffer src,
   return Status::Success;
 }
 
-Status CommandQueue::enqueue_nd_range(const Kernel& k, sim::Dim3 global,
-                                      sim::Dim3 local,
+Status CommandQueue::enqueue_nd_range(const compiler::CompiledKernel& ck,
+                                      sim::Dim3 global, sim::Dim3 local,
                                       std::span<const sim::KernelArg> args,
                                       Event* event, int dynamic_local_bytes,
                                       const LaunchOverrides* overrides) {
@@ -160,9 +160,9 @@ Status CommandQueue::enqueue_nd_range(const Kernel& k, sim::Dim3 global,
   try {
     prof::ScopedSpan span("api", "clEnqueueNDRangeKernel");
     sim::LaunchResult r =
-        virt_ ? virt_->launch(ctx_.spec_, ctx_.runtime_, k.compiled(), cfg,
+        virt_ ? virt_->launch(ctx_.spec_, ctx_.runtime_, ck, cfg,
                               args, ctx_.mem_, {})
-              : sim::launch_kernel(ctx_.spec_, ctx_.runtime_, k.compiled(),
+              : sim::launch_kernel(ctx_.spec_, ctx_.runtime_, ck,
                                    cfg, args, ctx_.mem_);
     kernel_seconds_ += r.timing.seconds;
     launch_seconds_ += r.timing.launch_s;
@@ -172,7 +172,7 @@ Status CommandQueue::enqueue_nd_range(const Kernel& k, sim::Dim3 global,
     ++launches_;
     if (prof::enabled()) {
       prof::recorder().record_launch(arch::Toolchain::OpenCl,
-                                     ctx_.spec_.short_name, k.name(),
+                                     ctx_.spec_.short_name, ck.name(),
                                      r.timing, r.stats,
                                      virt_ ? virt_->tenant_id() : -1, r.aiwc);
     }
@@ -187,7 +187,7 @@ Status CommandQueue::enqueue_nd_range(const Kernel& k, sim::Dim3 global,
     return Status::Success;
   } catch (const OutOfResources& e) {
     last_error_ = e.what();
-    GPC_LOG(Info) << "enqueue_nd_range(" << k.name()
+    GPC_LOG(Info) << "enqueue_nd_range(" << ck.name()
                   << "): " << to_string(Status::OutOfResources) << " — "
                   << e.what();
     return Status::OutOfResources;
@@ -196,7 +196,7 @@ Status CommandQueue::enqueue_nd_range(const Kernel& k, sim::Dim3 global,
     // OpenCL surfaces this as an error status, not an exception — the grid
     // has already been stopped early by the pool's batch cancellation.
     last_error_ = e.what();
-    GPC_LOG(Info) << "enqueue_nd_range(" << k.name()
+    GPC_LOG(Info) << "enqueue_nd_range(" << ck.name()
                   << "): " << to_string(Status::DeviceFault) << " — "
                   << e.what();
     return Status::DeviceFault;
