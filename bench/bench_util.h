@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "arch/device_spec.h"
+#include "common/config.h"
 #include "common/log.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
@@ -128,19 +129,43 @@ inline std::string commit() {
   return out.empty() ? "unknown" : out;
 }
 
+/// `s` as a JSON string literal.
+inline std::string json_string(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+  return out + "\"";
+}
+
 /// The "host" object every BENCH_*.json record carries, so numbers from
-/// different machines or builds are never compared by accident: cores,
-/// simulator threads, build type, compiler and commit.
+/// different machines, builds or configurations are never compared by
+/// accident: cores, simulator threads, build type, compiler, commit, and
+/// every GPC_* variable set in the process ("env").
 inline std::string host_json() {
+  std::string env;
+  for (const auto& [name, value] : config::gpc_vars()) {
+    if (!env.empty()) env += ", ";
+    env += json_string(name) + ": " + json_string(value);
+  }
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "{\"nproc\": %u, \"sim_threads\": %zu, "
                 "\"build_type\": \"%s\", \"compiler\": \"%s\", "
-                "\"commit\": \"%s\"}",
+                "\"commit\": \"%s\", \"env\": {",
                 std::thread::hardware_concurrency(),
                 std::max<std::size_t>(1, ThreadPool::shared().size()),
                 GPC_BUILD_TYPE, GPC_COMPILER, commit().c_str());
-  return buf;
+  return buf + env + "}}";
 }
 
 }  // namespace gpc::benchbin

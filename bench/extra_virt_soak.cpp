@@ -35,6 +35,7 @@
 #include "arch/device_spec.h"
 #include "bench_kernels/registry.h"
 #include "bench_util.h"
+#include "common/config.h"
 #include "common/table.h"
 #include "harness/session.h"
 #include "kernel/builder.h"
@@ -360,12 +361,11 @@ int main(int argc, char** argv) {
       "Virtualization soak — overhead, fair share, tenant fault isolation");
 
   resil::plan().reset();  // measurement owns fault state; ignore GPC_FAULT
-  const std::uint64_t seed = [] {
-    const char* e = std::getenv("GPC_VIRT_SEED");
-    return e != nullptr && *e != '\0'
-               ? std::strtoull(e, nullptr, 10)
-               : std::uint64_t{1};
-  }();
+  const std::uint64_t seed = config::or_exit([] {
+    const char* e = config::get("GPC_VIRT_SEED");
+    return e != nullptr ? config::parse_u64("GPC_VIRT_SEED", "seed", e)
+                        : std::uint64_t{1};
+  });
   std::printf("seed %llu (GPC_VIRT_SEED), %d tenants x %d rounds\n",
               static_cast<unsigned long long>(seed), kTenantsPerRound,
               kRounds);

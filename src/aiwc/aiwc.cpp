@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 
+#include "common/config.h"
 #include "common/error.h"
 
 namespace gpc::aiwc {
@@ -299,8 +299,8 @@ std::vector<Metric> finalize(const Features& f) {
 bool enabled_from_env() {
   // Deliberately re-read per call: tests and tools toggle GPC_AIWC between
   // launches (same contract as sanitize_options_from_env).
-  const char* e = std::getenv("GPC_AIWC");
-  return e != nullptr && !(e[0] == '0' && e[1] == '\0');
+  const char* e = config::get("GPC_AIWC");
+  return e != nullptr && config::parse_bool("GPC_AIWC", "enable", e);
 }
 
 // ---------------------------------------------------------------------------

@@ -163,7 +163,8 @@ struct Metric {
 ///   stride_gather_fraction
 std::vector<Metric> finalize(const Features& f);
 
-/// True when GPC_AIWC is set to anything but "0" in the environment.
+/// True when GPC_AIWC=1; false when it is unset, empty or "0". Throws
+/// InvalidArgument on any other value.
 /// Deliberately re-read per launch (mirrors sanitize_options_from_env) so
 /// tests and tools can toggle collection between launches.
 bool enabled_from_env();

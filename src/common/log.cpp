@@ -3,25 +3,17 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
+
+#include "common/config.h"
 
 namespace gpc::log {
 namespace {
 
-Level parse_env() {
-  const char* env = std::getenv("GPC_LOG");
-  if (env == nullptr) return Level::Warn;
-  if (std::strcmp(env, "debug") == 0) return Level::Debug;
-  if (std::strcmp(env, "info") == 0) return Level::Info;
-  if (std::strcmp(env, "warn") == 0) return Level::Warn;
-  if (std::strcmp(env, "error") == 0) return Level::Error;
-  if (std::strcmp(env, "off") == 0) return Level::Off;
-  return Level::Warn;
-}
-
-std::atomic<Level> g_threshold{parse_env()};
+// Parsed during static initialisation, where a throw could only end in
+// std::terminate: a malformed GPC_LOG prints its message and exits instead.
+std::atomic<Level> g_threshold{
+    config::or_exit([] { return parse_level(config::get("GPC_LOG")); })};
 std::mutex g_mutex;  // serializes line emission only, never held in user code
 
 const char* prefix(Level level) {
@@ -36,6 +28,14 @@ const char* prefix(Level level) {
 }
 
 }  // namespace
+
+Level parse_level(const char* value) {
+  if (value == nullptr) return Level::Warn;
+  // The bits are the Level values (log.h numbers them 0..4).
+  return static_cast<Level>(config::parse_choice(
+      "GPC_LOG", "level", value,
+      {{"debug", 0}, {"info", 1}, {"warn", 2}, {"error", 3}, {"off", 4}}));
+}
 
 Level threshold() { return g_threshold.load(std::memory_order_relaxed); }
 void set_threshold(Level level) {

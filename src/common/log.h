@@ -1,5 +1,5 @@
 // Minimal leveled logger. Quiet by default (Warn); benches raise verbosity
-// with --verbose or GPC_LOG=info|debug.
+// with --verbose or GPC_LOG=info|debug (or silence it with error|off).
 //
 // Emission is serialized (one lock per line, never held across user code) and
 // every line carries a monotonic timestamp plus a dense per-thread id, so
@@ -20,7 +20,12 @@ namespace gpc::log {
 
 enum class Level { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
 
-/// Global threshold; messages below it are dropped. Reads GPC_LOG on first use.
+/// Parses a GPC_LOG value (`debug|info|warn|error|off`; nullptr means the
+/// default, Warn). Throws InvalidArgument on anything else.
+Level parse_level(const char* value);
+
+/// Global threshold; messages below it are dropped. Starts from GPC_LOG,
+/// read during static initialisation (a malformed value exits the process).
 Level threshold();
 void set_threshold(Level level);
 

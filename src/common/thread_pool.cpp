@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 
+#include "common/config.h"
 #include "common/error.h"
 
 namespace gpc {
@@ -165,17 +165,15 @@ void ThreadPool::parallel_for(std::size_t count,
                        [&body](std::size_t, std::size_t i) { body(i); });
 }
 
+std::size_t ThreadPool::parse_threads(const char* value) {
+  if (value == nullptr) return 0;
+  return static_cast<std::size_t>(config::parse_u64(
+      "GPC_SIM_THREADS", "threads", value, 0, 1024));
+}
+
 ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool([] {
-    if (const char* e = std::getenv("GPC_SIM_THREADS")) {
-      char* end = nullptr;
-      const long v = std::strtol(e, &end, 10);
-      if (end != e && *end == '\0' && v > 0) {
-        return static_cast<std::size_t>(v);
-      }
-    }
-    return std::size_t{0};  // 0 = hardware concurrency
-  }());
+  static ThreadPool pool(config::or_exit(
+      [] { return parse_threads(config::get("GPC_SIM_THREADS")); }));
   return pool;
 }
 

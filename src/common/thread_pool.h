@@ -55,8 +55,12 @@ class ThreadPool {
       std::size_t count,
       const std::function<void(std::size_t, std::size_t)>& body);
 
-  /// Process-wide pool, sized to the machine, or to $GPC_SIM_THREADS when
-  /// that is set to a positive integer (see README "Simulator threads").
+  /// Parses a GPC_SIM_THREADS value: an integer in [0, 1024], 0 (and
+  /// nullptr) meaning hardware concurrency. Throws InvalidArgument otherwise.
+  static std::size_t parse_threads(const char* value);
+
+  /// Process-wide pool, sized by GPC_SIM_THREADS when the pool is first
+  /// used (a malformed value exits the process), else to the machine.
   static ThreadPool& shared();
 
   /// True when the batch the calling thread is currently executing has been

@@ -92,7 +92,7 @@ class DeviceSession {
   /// shrinking failed, so "DEG" stays a deliberate outcome.
   void set_allow_degraded_exec(bool v) { allow_degraded_exec_ = v; }
   /// Per-launch step budget for every launch issued through this session
-  /// (0 = unset: GPC_SIM_STEP_BUDGET / the policy watchdog apply as usual).
+  /// (0 = unset: the policy watchdog, GPC_WATCHDOG, applies as usual).
   /// gpc::serve converts a job's deadline into this budget, so a deadline
   /// bounds simulated execution via the PR 2 watchdog instead of wall-clock
   /// timers — an over-deadline kernel becomes a classified DeviceFault.

@@ -52,8 +52,9 @@ enum Mode : unsigned {
   kAll = kSummary | kTrace | kCounters,
 };
 
-/// Parses a GPC_PROF-style comma-separated mode list ("summary,trace",
-/// "all", "off"); unknown tokens are ignored with a warning.
+/// Parses a GPC_PROF-style comma-separated mode list of
+/// summary|trace|counters|all|1|off|0 ("summary,trace"); empty means kOff.
+/// Throws InvalidArgument on any other token.
 unsigned parse_modes(std::string_view spec);
 
 /// Which timeline an event belongs to. Host spans run on real wall-clock

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/config.h"
 #include "common/log.h"
 #include "sim/decode.h"
 
@@ -81,8 +82,10 @@ struct Recorder::ThreadBuffer {
 };
 
 Recorder::Recorder() {
-  if (const char* env = std::getenv("GPC_PROF")) {
-    set_modes(parse_modes(env));
+  // The recorder is created on first use, from whichever thread profiles
+  // first, so a malformed GPC_PROF exits rather than throwing there.
+  if (const char* env = config::get("GPC_PROF")) {
+    set_modes(config::or_exit([env] { return parse_modes(env); }));
   }
 }
 
@@ -94,29 +97,10 @@ Recorder& Recorder::instance() {
 }
 
 unsigned parse_modes(std::string_view spec) {
-  unsigned m = kOff;
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string_view::npos) comma = spec.size();
-    std::string_view tok = spec.substr(pos, comma - pos);
-    if (tok == "summary") {
-      m |= kSummary;
-    } else if (tok == "trace") {
-      m |= kTrace;
-    } else if (tok == "counters") {
-      m |= kCounters;
-    } else if (tok == "all" || tok == "1") {
-      m |= kAll;
-    } else if (tok == "off" || tok == "0" || tok.empty()) {
-      // no-op
-    } else {
-      GPC_LOG(Warn) << "GPC_PROF: unknown mode '" << std::string(tok)
-                    << "' ignored (known: summary,trace,counters,all,off)";
-    }
-    pos = comma + 1;
-  }
-  return m;
+  return config::parse_flags(
+      "GPC_PROF", "mode", spec,
+      {{"summary", kSummary}, {"trace", kTrace}, {"counters", kCounters},
+       {"all", kAll}, {"1", kAll}, {"off", kOff}, {"0", kOff}});
 }
 
 void Recorder::set_modes(unsigned modes) {

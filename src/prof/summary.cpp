@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/config.h"
 #include "common/log.h"
 #include "common/table.h"
 #include "prof/prof.h"
@@ -103,7 +104,11 @@ std::string Recorder::summary() const {
     }
   }
 
-  std::string out = "\ngpc::prof summary\n";
+  // Which knobs produced this run: every GPC_* variable of the process.
+  std::string out = "\ngpc::prof summary\nGPC_* set:";
+  const auto vars = config::gpc_vars();
+  for (const auto& [name, value] : vars) out += " " + name + "=" + value;
+  out += vars.empty() ? " (none)\n" : "\n";
   for (int rt = 0; rt < 2; ++rt) {
     if (kernels[rt].empty()) continue;
     const char* rt_name = rt == 0 ? "CUDA" : "OpenCL";

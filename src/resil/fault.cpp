@@ -1,8 +1,8 @@
 #include "resil/fault.h"
 
-#include <cstdlib>
 #include <string_view>
 
+#include "common/config.h"
 #include "common/error.h"
 
 namespace gpc::resil {
@@ -55,83 +55,57 @@ FaultPlan* thread_plan() { return t_plan; }
 FaultPlan& FaultPlan::instance() {
   // Leaked (usable from exit hooks); GPC_FAULT configures only the global
   // plan — standalone plans constructed elsewhere stay disarmed until
-  // configured programmatically.
+  // configured programmatically. A malformed GPC_FAULT exits: the first
+  // use may come from any thread, inside a launch that would turn the throw
+  // into a classified failure.
   static FaultPlan* p = [] {
     auto* plan = new FaultPlan();
-    if (const char* e = std::getenv("GPC_FAULT")) plan->configure(e);
+    if (const char* e = config::get("GPC_FAULT")) {
+      config::or_exit([&] { plan->configure(e); });
+    }
     return plan;
   }();
   return *p;
 }
 
 void FaultPlan::configure(const std::string& spec) {
+  constexpr std::string_view kVar = "GPC_FAULT";
   reset();
-  std::string_view rest = spec;
-  while (!rest.empty()) {
-    const std::size_t semi = rest.find(';');
-    std::string_view entry = rest.substr(0, semi);
-    rest = semi == std::string_view::npos ? std::string_view{}
-                                          : rest.substr(semi + 1);
-    if (entry.empty()) continue;
-
+  config::split(spec, ';', [&](std::string_view entry) {
     const std::size_t colon = entry.find(':');
     const std::string_view name = entry.substr(0, colon);
     const std::optional<Site> site = site_from_name(name);
     if (!site) {
-      throw InvalidArgument("GPC_FAULT: unknown injection site '" +
-                            std::string(name) +
-                            "' (expected enqueue|midgrid|hang|build|memcpy)");
+      config::bad_value(kVar, name, "site",
+                        "enqueue|midgrid|hang|build|memcpy");
     }
     SiteSpec ss;
     ss.enabled = true;
     // Default per-site seed: the site index itself, so two sites with no
     // explicit seed still draw independent sequences.
     ss.seed = 0x5EEDull + static_cast<std::uint64_t>(*site);
-    std::string_view opts =
-        colon == std::string_view::npos ? std::string_view{}
-                                        : entry.substr(colon + 1);
-    while (!opts.empty()) {
-      const std::size_t c = opts.find(':');
-      std::string_view kv = opts.substr(0, c);
-      opts = c == std::string_view::npos ? std::string_view{}
-                                         : opts.substr(c + 1);
+    const std::string_view opts =
+        colon == std::string_view::npos ? "" : entry.substr(colon + 1);
+    config::split(opts, ':', [&](std::string_view kv) {
       const std::size_t eq = kv.find('=');
       if (eq == std::string_view::npos) {
-        throw InvalidArgument("GPC_FAULT: expected key=value, got '" +
-                              std::string(kv) + "'");
+        config::bad_value(kVar, kv, "option", "key=value");
       }
-      const std::string_view key = kv.substr(0, eq);
-      const std::string val(kv.substr(eq + 1));
-      char* end = nullptr;
+      const std::string_view key = kv.substr(0, eq), val = kv.substr(eq + 1);
       if (key == "p") {
-        ss.probability = std::strtod(val.c_str(), &end);
-        if (end == val.c_str() || *end != '\0' || ss.probability < 0.0 ||
-            ss.probability > 1.0) {
-          throw InvalidArgument("GPC_FAULT: bad probability '" + val + "'");
-        }
+        ss.probability = config::parse_double(kVar, key, val, 0.0, 1.0);
       } else if (key == "seed") {
-        ss.seed = std::strtoull(val.c_str(), &end, 10);
-        if (end == val.c_str() || *end != '\0') {
-          throw InvalidArgument("GPC_FAULT: bad seed '" + val + "'");
-        }
+        ss.seed = config::parse_u64(kVar, key, val);
       } else if (key == "after") {
-        ss.after = std::strtoull(val.c_str(), &end, 10);
-        if (end == val.c_str() || *end != '\0') {
-          throw InvalidArgument("GPC_FAULT: bad after '" + val + "'");
-        }
+        ss.after = config::parse_u64(kVar, key, val);
       } else if (key == "count") {
-        ss.count = std::strtoull(val.c_str(), &end, 10);
-        if (end == val.c_str() || *end != '\0') {
-          throw InvalidArgument("GPC_FAULT: bad count '" + val + "'");
-        }
+        ss.count = config::parse_u64(kVar, key, val);
       } else {
-        throw InvalidArgument("GPC_FAULT: unknown option '" +
-                              std::string(key) +
-                              "' (expected p|seed|after|count)");
+        config::bad_value(kVar, key, "option", "p|seed|after|count");
       }
-    }
+    });
     set(*site, ss);
-  }
+  });
 }
 
 void FaultPlan::set(Site s, SiteSpec spec) {

@@ -34,7 +34,8 @@
 // predictable branch. No allocation, no locking, no result perturbation
 // (Table VI / fig03 stay bit-identical, locked by tests).
 //
-// Enablement: GPC_FAULT in the environment (parsed once, lazily) or the
+// Enablement: GPC_FAULT in the environment (parsed once, lazily, with the
+// strict common/config.h grammar; a malformed value exits the process) or the
 // programmatic configure()/set() API used by tests and the chaos harness.
 // Spec grammar, semicolon-separated sites with colon-separated options:
 //

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
+#include <climits>
+#include <cmath>
 #include <mutex>
 #include <thread>
+
+#include "common/config.h"
 
 namespace gpc::resil {
 
@@ -24,31 +27,32 @@ std::uint64_t mix(std::uint64_t seed, std::uint64_t n) {
 
 Policy policy_from_env() {
   Policy p;
-  if (const char* e = std::getenv("GPC_RETRY")) {
+  if (const char* e = config::get("GPC_RETRY")) {
     // "N[:base_us[:seed]]"
-    char* end = nullptr;
-    const long n = std::strtol(e, &end, 10);
-    if (end != e && n >= 0) {
-      p.max_retries = static_cast<int>(n);
-      if (*end == ':') {
-        const char* rest = end + 1;
-        const double base = std::strtod(rest, &end);
-        if (end != rest && base > 0) p.backoff_base_us = base;
-        if (*end == ':') {
-          const char* seed_s = end + 1;
-          const unsigned long long seed = std::strtoull(seed_s, &end, 10);
-          if (end != seed_s) p.jitter_seed = seed;
-        }
+    int field = 0;
+    config::split(e, ':', [&](std::string_view v) {
+      switch (field++) {
+        case 0:
+          p.max_retries = static_cast<int>(
+              config::parse_u64("GPC_RETRY", "N", v, 0, INT_MAX));
+          break;
+        case 1:
+          p.backoff_base_us = config::parse_double(
+              "GPC_RETRY", "base_us", v, 0, HUGE_VAL, /*lo_open=*/true);
+          break;
+        case 2:
+          p.jitter_seed = config::parse_u64("GPC_RETRY", "seed", v);
+          break;
+        default:
+          config::bad_value("GPC_RETRY", e, "retry", "N[:base_us[:seed]]");
       }
-    }
+    });
   }
-  if (const char* e = std::getenv("GPC_DEGRADE")) {
-    p.degrade = !(e[0] == '0' && e[1] == '\0');
+  if (const char* e = config::get("GPC_DEGRADE")) {
+    p.degrade = config::parse_bool("GPC_DEGRADE", "enable", e);
   }
-  if (const char* e = std::getenv("GPC_WATCHDOG")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(e, &end, 10);
-    if (end != e && *end == '\0' && v > 0) p.watchdog_budget = v;
+  if (const char* e = config::get("GPC_WATCHDOG")) {
+    p.watchdog_budget = config::parse_u64("GPC_WATCHDOG", "steps", e);
   }
   return p;
 }

@@ -19,9 +19,9 @@
 //     (GPC_WATCHDOG) so a hung kernel becomes a classified DeviceFault.
 //
 // Environment knobs (all off by default; parsed per query so tests can
-// toggle them):
+// toggle them, with the strict common/config.h grammar):
 //   GPC_RETRY="N[:base_us[:seed]]"  max retries, backoff base, jitter seed
-//   GPC_DEGRADE=1                   enable split-launch + degraded exec
+//   GPC_DEGRADE=0|1                 enable split-launch + degraded exec
 //   GPC_WATCHDOG=N                  per-launch step budget when none is set
 #pragma once
 
@@ -39,8 +39,8 @@ struct Policy {
   std::uint64_t watchdog_budget = 0;  // steps/block; 0 = not configured
 };
 
-/// Parses GPC_RETRY / GPC_DEGRADE / GPC_WATCHDOG. Malformed values are
-/// ignored (robustness layer; never aborts the host over an env typo).
+/// Parses GPC_RETRY / GPC_DEGRADE / GPC_WATCHDOG. A malformed value throws
+/// InvalidArgument: a typo must not run with a policy nobody asked for.
 Policy policy_from_env();
 
 /// Programmatic override for tests and the chaos harness; nullopt restores

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -28,78 +26,6 @@ const char* class_name(JobClass c) {
     case JobClass::Shed: return "SHED";
   }
   return "?";
-}
-
-// ---------------------------------------------------------------------------
-// Config
-
-ServeConfig parse_serve_config(const std::string& spec) {
-  ServeConfig cfg;
-  std::string_view rest = spec;
-  while (!rest.empty()) {
-    const std::size_t comma = rest.find(',');
-    std::string_view kv = rest.substr(0, comma);
-    rest = comma == std::string_view::npos ? std::string_view{}
-                                           : rest.substr(comma + 1);
-    if (kv.empty()) continue;
-    const std::size_t eq = kv.find('=');
-    if (eq == std::string_view::npos) {
-      throw InvalidArgument("GPC_SERVE: expected key=value, got '" +
-                            std::string(kv) + "'");
-    }
-    const std::string_view key = kv.substr(0, eq);
-    const std::string val(kv.substr(eq + 1));
-    char* end = nullptr;
-    auto parse_int = [&](long lo) {
-      const long v = std::strtol(val.c_str(), &end, 10);
-      if (end == val.c_str() || *end != '\0' || v < lo) {
-        throw InvalidArgument("GPC_SERVE: bad value '" + val + "' for '" +
-                              std::string(key) + "'");
-      }
-      return static_cast<int>(v);
-    };
-    auto parse_ms = [&] {
-      const double v = std::strtod(val.c_str(), &end);
-      if (end == val.c_str() || *end != '\0' || v < 0.0) {
-        throw InvalidArgument("GPC_SERVE: bad value '" + val + "' for '" +
-                              std::string(key) + "'");
-      }
-      return v;
-    };
-    if (key == "workers") {
-      cfg.workers = parse_int(0);
-    } else if (key == "shards") {
-      cfg.shards = parse_int(1);
-    } else if (key == "queue_cap") {
-      cfg.queue_cap = parse_int(1);
-    } else if (key == "deadline_ms") {
-      cfg.deadline_ms = parse_ms();
-    } else if (key == "breaker") {
-      cfg.breaker = parse_int(0);
-    } else if (key == "breaker_cooldown_ms") {
-      cfg.breaker_cooldown_ms = parse_ms();
-    } else if (key == "batch") {
-      cfg.batch = parse_int(1);
-    } else if (key == "steps_per_ms") {
-      const unsigned long long v = std::strtoull(val.c_str(), &end, 10);
-      if (end == val.c_str() || *end != '\0' || v == 0) {
-        throw InvalidArgument("GPC_SERVE: bad value '" + val +
-                              "' for 'steps_per_ms'");
-      }
-      cfg.steps_per_ms = v;
-    } else {
-      throw InvalidArgument(
-          "GPC_SERVE: unknown option '" + std::string(key) +
-          "' (expected workers|shards|queue_cap|deadline_ms|breaker|"
-          "breaker_cooldown_ms|batch|steps_per_ms)");
-    }
-  }
-  return cfg;
-}
-
-ServeConfig serve_config_from_env() {
-  if (const char* e = std::getenv("GPC_SERVE")) return parse_serve_config(e);
-  return ServeConfig{};
 }
 
 // ---------------------------------------------------------------------------

@@ -37,12 +37,8 @@
 //    job's seeds, independent of how jobs interleave across workers. This
 //    is the same determinism contract gpc::virt established for tenants.
 //
-// Enablement: construct a Server explicitly, or let it read GPC_SERVE:
-//
-//   GPC_SERVE="workers=4,shards=2,queue_cap=256,deadline_ms=100,breaker=5"
-//
-// (all keys optional; unknown keys or malformed values are rejected with
-// InvalidArgument — a serving config typo must not silently serve).
+// Enablement: construct a Server with a ServeConfig (every field has a
+// default).
 #pragma once
 
 #include <atomic>
@@ -83,12 +79,6 @@ struct ServeConfig {
   // wall-clock remainder, so injected-fault replay stays deterministic).
   std::uint64_t steps_per_ms = 1'000'000;
 };
-
-/// Parses a GPC_SERVE-style comma-separated key=value list. Throws
-/// InvalidArgument on unknown keys, malformed or out-of-range values.
-ServeConfig parse_serve_config(const std::string& spec);
-/// GPC_SERVE from the environment, or defaults when unset.
-ServeConfig serve_config_from_env();
 
 /// Terminal classification of one job, mirroring the benchmark outcome
 /// protocol (OK/DEG/ABT) plus the serving-layer reject class.
@@ -175,7 +165,7 @@ class JobHandle {
 
 class Server {
  public:
-  explicit Server(ServeConfig cfg = serve_config_from_env());
+  explicit Server(ServeConfig cfg = ServeConfig{});
   ~Server();  // drains accepted jobs, then stops the workers
 
   Server(const Server&) = delete;

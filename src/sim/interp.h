@@ -68,9 +68,9 @@ struct LaunchConfig {
   /// Checks to run for this launch, OR-ed with GPC_SIM_SANITIZE from the
   /// environment by launch_kernel. All off (the default) costs nothing.
   SanitizeOptions sanitize;
-  /// Per-block instruction budget; 0 means GPC_SIM_STEP_BUDGET from the
-  /// environment, then the resilience watchdog (GPC_WATCHDOG), then the
-  /// built-in ~8G-step runaway-kernel backstop.
+  /// Per-block instruction budget; 0 means the resilience watchdog
+  /// (GPC_WATCHDOG, or the policy override), then the built-in ~8G-step
+  /// runaway-kernel backstop.
   std::uint64_t step_budget = 0;
   /// Split-launch support (resil policy layer): this launch executes the
   /// sub-grid `grid` at block-id offset `grid_offset` of a logical grid of

@@ -1,6 +1,5 @@
 #include "sim/launch.h"
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,19 +11,6 @@
 #include "sim/decode.h"
 
 namespace gpc::sim {
-
-namespace {
-
-std::uint64_t step_budget_from_env() {
-  if (const char* e = std::getenv("GPC_SIM_STEP_BUDGET")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(e, &end, 10);
-    if (end != e && *end == '\0' && v > 0) return v;
-  }
-  return 0;
-}
-
-}  // namespace
 
 LaunchResult launch_kernel(const arch::DeviceSpec& spec,
                            const arch::RuntimeSpec& runtime,
@@ -84,7 +70,6 @@ LaunchResult launch_kernel(const arch::DeviceSpec& spec,
   // environment (re-read every launch so tests can toggle them).
   LaunchConfig cfg = config;
   cfg.sanitize = config.sanitize | sanitize_options_from_env();
-  if (cfg.step_budget == 0) cfg.step_budget = step_budget_from_env();
   if (cfg.step_budget == 0) {
     // Per-launch watchdog (resil policy): GPC_WATCHDOG bounds every launch
     // that did not set its own budget, so a hung kernel becomes a

@@ -1,9 +1,8 @@
 #include "sim/sanitizer.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
+#include "common/config.h"
 #include "sim/memory.h"
 
 namespace gpc::sim {
@@ -13,27 +12,18 @@ SanitizeOptions operator|(SanitizeOptions a, SanitizeOptions b) {
 }
 
 SanitizeOptions parse_sanitize_spec(const char* spec) {
-  SanitizeOptions o;
-  if (spec == nullptr) return o;
-  const char* p = spec;
-  while (*p != '\0') {
-    while (*p == ',' || *p == ' ') ++p;
-    const char* start = p;
-    while (*p != '\0' && *p != ',' && *p != ' ') ++p;
-    const std::size_t len = static_cast<std::size_t>(p - start);
-    auto is = [&](const char* tok) {
-      return len == std::strlen(tok) && std::strncmp(start, tok, len) == 0;
-    };
-    if (is("race")) o.race = true;
-    if (is("mem")) o.mem = true;
-    if (is("sync")) o.sync = true;
-    if (is("all") || is("1")) o.race = o.mem = o.sync = true;
-  }
-  return o;
+  if (spec == nullptr) return {};
+  constexpr unsigned kRace = 1, kMem = 2, kSync = 4, kAll = 7;
+  const unsigned bits = config::parse_flags(
+      "GPC_SIM_SANITIZE", "check", spec,
+      {{"race", kRace}, {"mem", kMem}, {"sync", kSync}, {"all", kAll},
+       {"1", kAll}});
+  return SanitizeOptions{(bits & kRace) != 0, (bits & kMem) != 0,
+                         (bits & kSync) != 0};
 }
 
 SanitizeOptions sanitize_options_from_env() {
-  return parse_sanitize_spec(std::getenv("GPC_SIM_SANITIZE"));
+  return parse_sanitize_spec(config::get("GPC_SIM_SANITIZE"));
 }
 
 const char* to_string(SanitizerTool t) {

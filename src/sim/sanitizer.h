@@ -44,8 +44,8 @@ struct SanitizeOptions {
 SanitizeOptions operator|(SanitizeOptions a, SanitizeOptions b);
 
 /// Parses a GPC_SIM_SANITIZE-style spec: a comma-separated subset of
-/// {race, mem, sync}, or "all" / "1" for everything. Unknown tokens are
-/// ignored. Null or empty means everything off.
+/// {race, mem, sync}, or "all" / "1" for everything. Null or empty means
+/// everything off; any other token throws InvalidArgument.
 SanitizeOptions parse_sanitize_spec(const char* spec);
 
 /// Reads GPC_SIM_SANITIZE. Deliberately re-read per call (launch_kernel

@@ -1,7 +1,6 @@
 #include "virt/virt.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <exception>
 #include <string>
 
@@ -9,76 +8,6 @@
 #include "sim/timing.h"
 
 namespace gpc::virt {
-
-namespace {
-
-// GPC_VIRT parsing, same robustness contract as resil::policy_from_env:
-// malformed entries are ignored, never fatal.
-bool parse_u64(const std::string& v, std::uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0') return false;
-  *out = n;
-  return true;
-}
-
-bool parse_weights(const std::string& v, std::vector<double>* out) {
-  std::vector<double> w;
-  std::size_t pos = 0;
-  while (pos <= v.size()) {
-    const std::size_t colon = v.find(':', pos);
-    const std::string tok =
-        v.substr(pos, colon == std::string::npos ? colon : colon - pos);
-    char* end = nullptr;
-    const double d = std::strtod(tok.c_str(), &end);
-    if (end == tok.c_str() || *end != '\0' || d <= 0) return false;
-    w.push_back(d);
-    if (colon == std::string::npos) break;
-    pos = colon + 1;
-  }
-  if (w.empty()) return false;
-  *out = std::move(w);
-  return true;
-}
-
-}  // namespace
-
-VirtConfig virt_config_from_env() {
-  VirtConfig cfg;
-  const char* e = std::getenv("GPC_VIRT");
-  if (!e || !*e) return cfg;
-  const std::string spec(e);
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    const std::string entry =
-        spec.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    const std::size_t eq = entry.find('=');
-    if (eq != std::string::npos) {
-      const std::string key = entry.substr(0, eq);
-      const std::string val = entry.substr(eq + 1);
-      std::uint64_t n = 0;
-      if (key == "tenants" && parse_u64(val, &n) && n >= 1 && n <= 4096) {
-        cfg.tenants = static_cast<int>(n);
-      } else if (key == "slice" && parse_u64(val, &n) && n > 0) {
-        cfg.slice = n;
-      } else if (key == "weights") {
-        parse_weights(val, &cfg.weights);
-      } else if (key == "phys_mb" && parse_u64(val, &n) && n > 0) {
-        cfg.phys_bytes = static_cast<std::size_t>(n) << 20;
-      } else if (key == "quota_mb" && parse_u64(val, &n) && n > 0) {
-        cfg.quota_bytes = static_cast<std::size_t>(n) << 20;
-      } else if (key == "watchdog" && parse_u64(val, &n) && n > 0) {
-        cfg.block_budget = n;
-      } else if (key == "force_slice" && parse_u64(val, &n)) {
-        cfg.force_slice = n != 0;
-      }
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return cfg;
-}
 
 std::uint64_t issue_steps(const sim::BlockStats& s) {
   return s.alu_issues + s.ialu_issues + s.agu_issues + s.mad_issues +
@@ -187,23 +116,23 @@ TenantStats TenantQueue::stats() const {
 
 VirtualDeviceManager::VirtualDeviceManager(VirtConfig cfg)
     : cfg_(std::move(cfg)) {
-  GPC_REQUIRE(cfg_.tenants >= 1, "GPC_VIRT: tenants must be >= 1");
-  GPC_REQUIRE(cfg_.slice > 0, "GPC_VIRT: slice must be > 0");
+  GPC_REQUIRE(cfg_.tenants >= 1, "virt: tenants must be >= 1");
+  GPC_REQUIRE(cfg_.slice > 0, "virt: slice must be > 0");
   cfg_.weights.resize(static_cast<std::size_t>(cfg_.tenants), 1.0);
   for (double w : cfg_.weights) {
-    GPC_REQUIRE(w > 0, "GPC_VIRT: weights must be positive");
+    GPC_REQUIRE(w > 0, "virt: weights must be positive");
   }
   if (cfg_.quota_bytes == 0) {
     cfg_.quota_bytes = cfg_.phys_bytes / static_cast<std::size_t>(cfg_.tenants);
   }
   GPC_REQUIRE(cfg_.quota_bytes > 256,
-              "GPC_VIRT: per-tenant quota too small for the null page");
+              "virt: per-tenant quota too small for the null page");
   // Refuse to over-carve the physical DRAM: quotas are hard reservations,
   // not ballast — a tenant inside its quota must never hit a neighbour's
   // allocation pressure.
   GPC_REQUIRE(cfg_.quota_bytes * static_cast<std::size_t>(cfg_.tenants) <=
                   cfg_.phys_bytes,
-              "GPC_VIRT: tenants * quota exceeds physical memory");
+              "virt: tenants * quota exceeds physical memory");
 
   tenants_.reserve(static_cast<std::size_t>(cfg_.tenants));
   for (int i = 0; i < cfg_.tenants; ++i) {

@@ -71,15 +71,9 @@
 // gpc::prof carry the tenant id and land on per-tenant rows of the device
 // track in the Chrome trace ("tenant N (w=W)" threads).
 //
-// Enablement: construct a VirtualDeviceManager explicitly, or with the
-// GPC_VIRT environment configuration:
-//
-//   GPC_VIRT="tenants=8,slice=50000,weights=4:2:1:1,quota_mb=64,
-//             phys_mb=512,watchdog=N,force_slice=1"
-//
-// With GPC_VIRT unset and no manager constructed, nothing in the launch
-// path changes beyond one null-pointer test (fig03/table06 bit-identical,
-// locked by tests).
+// Enablement: construct a VirtualDeviceManager with a VirtConfig. With no
+// manager constructed, nothing in the launch path changes beyond one
+// null-pointer test (fig03/table06 bit-identical, locked by tests).
 #pragma once
 
 #include <atomic>
@@ -114,17 +108,13 @@ struct VirtConfig {
   /// InvalidArgument when tenants * quota exceeds phys_bytes.
   std::size_t quota_bytes = 0;
   /// Per-block step budget applied to sliced chunks whose launch did not set
-  /// one (0 = inherit GPC_SIM_STEP_BUDGET / GPC_WATCHDOG / the built-in
-  /// backstop). Bounds how long one tenant block can occupy the device.
+  /// one (0 = inherit GPC_WATCHDOG / the built-in backstop). Bounds how
+  /// long one tenant block can occupy the device.
   std::uint64_t block_budget = 0;
   /// Slice even without contention — the preempt/resume bit-identity tests
   /// use this to force checkpointing on every launch.
   bool force_slice = false;
 };
-
-/// Parses GPC_VIRT (see file comment). Malformed entries are ignored —
-/// robustness layer; an env typo must never abort the host.
-VirtConfig virt_config_from_env();
 
 /// Snapshot of one tenant's accounting (all counters monotonic since
 /// manager construction).
@@ -237,7 +227,7 @@ class VirtualDeviceManager {
   /// Validates the carve (weights padded, quota defaulted, sum of quotas
   /// checked against phys_bytes); throws InvalidArgument on an impossible
   /// configuration.
-  explicit VirtualDeviceManager(VirtConfig cfg = virt_config_from_env());
+  explicit VirtualDeviceManager(VirtConfig cfg = VirtConfig{});
   ~VirtualDeviceManager();
 
   VirtualDeviceManager(const VirtualDeviceManager&) = delete;

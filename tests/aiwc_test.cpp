@@ -204,8 +204,10 @@ TEST(AiwcEnv, EnabledFromEnvIsRereadPerCall) {
   EXPECT_TRUE(aiwc::enabled_from_env());
   ::setenv("GPC_AIWC", "0", 1);
   EXPECT_FALSE(aiwc::enabled_from_env());
-  ::setenv("GPC_AIWC", "features", 1);
-  EXPECT_TRUE(aiwc::enabled_from_env());
+  ::setenv("GPC_AIWC", "", 1);  // empty means unset
+  EXPECT_FALSE(aiwc::enabled_from_env());
+  ::setenv("GPC_AIWC", "features", 1);  // a typo fails loudly
+  EXPECT_THROW((void)aiwc::enabled_from_env(), InvalidArgument);
   ::unsetenv("GPC_AIWC");
 }
 

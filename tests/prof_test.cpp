@@ -272,8 +272,9 @@ TEST(ProfModes, ParseModeList) {
             prof::kTrace | prof::kCounters);
   EXPECT_EQ(prof::parse_modes("summary,trace,counters"), prof::kAll);
   EXPECT_EQ(prof::parse_modes("all"), prof::kAll);
-  EXPECT_EQ(prof::parse_modes("bogus"), prof::kOff);  // ignored with warning
-  EXPECT_EQ(prof::parse_modes("bogus,trace"), prof::kTrace);
+  // An unknown mode fails loudly instead of profiling less than asked for.
+  EXPECT_THROW(prof::parse_modes("bogus"), InvalidArgument);
+  EXPECT_THROW(prof::parse_modes("bogus,trace"), InvalidArgument);
 }
 
 TEST(ProfRecorder, DisabledRecordsNothing) {

@@ -46,7 +46,6 @@ class ResilTest : public ::testing::Test {
     ::unsetenv("GPC_RETRY");
     ::unsetenv("GPC_DEGRADE");
     ::unsetenv("GPC_WATCHDOG");
-    ::unsetenv("GPC_SIM_STEP_BUDGET");
   }
 
   static void arm(resil::Site site, double p, std::uint64_t seed,
@@ -428,7 +427,7 @@ TEST_F(ResilTest, CudaContextUsableAfterDeviceFault) {
 }
 
 TEST_F(ResilTest, CudaContextStepBudgetFaults) {
-  ::setenv("GPC_SIM_STEP_BUDGET", "1000", 1);
+  ::setenv("GPC_WATCHDOG", "1000", 1);
   const auto trips_before = resil::counters().watchdog_trips.load();
   cuda::Context ctx(arch::gtx480());
   const auto d_out = ctx.malloc(256);
@@ -438,10 +437,10 @@ TEST_F(ResilTest, CudaContextStepBudgetFaults) {
   cfg.block = {32, 1, 1};
   try {
     (void)ctx.launch(ck, cfg, {{sim::KernelArg::ptr(d_out)}});
-    ::unsetenv("GPC_SIM_STEP_BUDGET");
+    ::unsetenv("GPC_WATCHDOG");
     FAIL() << "expected DeviceFault";
   } catch (const DeviceFault& e) {
-    ::unsetenv("GPC_SIM_STEP_BUDGET");
+    ::unsetenv("GPC_WATCHDOG");
     EXPECT_NE(std::string(e.what()).find("instruction budget"),
               std::string::npos)
         << e.what();
@@ -462,13 +461,12 @@ TEST_F(ResilTest, PolicyParsesEnvKnobs) {
   EXPECT_EQ(p.jitter_seed, 5u);
   EXPECT_TRUE(p.degrade);
   EXPECT_EQ(p.watchdog_budget, 5000u);
-  // Malformed values degrade to defaults — a robustness layer must not
-  // abort the host over an env typo.
-  ::setenv("GPC_RETRY", "banana", 1);
   ::setenv("GPC_DEGRADE", "0", 1);
-  const resil::Policy q = resil::policy_from_env();
-  EXPECT_EQ(q.max_retries, 0);
-  EXPECT_FALSE(q.degrade);
+  EXPECT_FALSE(resil::policy_from_env().degrade);
+  // A malformed value fails loudly instead of running with a policy nobody
+  // asked for.
+  ::setenv("GPC_RETRY", "banana", 1);
+  EXPECT_THROW((void)resil::policy_from_env(), InvalidArgument);
   clean();
 }
 

@@ -71,10 +71,8 @@ TEST(SanitizeOptions, ParseSpec) {
   EXPECT_TRUE(all.race && all.mem && all.sync);
   const auto one = sim::parse_sanitize_spec("1");
   EXPECT_TRUE(one.race && one.mem && one.sync);
-  // Unknown tokens are ignored, known ones still parse.
-  const auto mixed = sim::parse_sanitize_spec("bogus,sync");
-  EXPECT_TRUE(mixed.sync);
-  EXPECT_FALSE(mixed.race || mixed.mem);
+  // An unknown token fails loudly, even next to known ones.
+  EXPECT_THROW(sim::parse_sanitize_spec("bogus,sync"), InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
@@ -422,16 +420,16 @@ TEST_P(FaultPathTest, DivergentBarrierFaults) {
 }
 
 TEST_P(FaultPathTest, InstructionBudgetFaults) {
-  ::setenv("GPC_SIM_STEP_BUDGET", "1000", 1);
+  ::setenv("GPC_WATCHDOG", "1000", 1);
   harness::DeviceSession s(arch::gtx480(), GetParam());
   const auto d_out = s.alloc(256);
   auto ck = s.compile(spin_kernel(1 << 20));
   try {
     (void)s.launch(ck, {1, 1, 1}, {32, 1, 1}, {{sim::KernelArg::ptr(d_out)}});
-    ::unsetenv("GPC_SIM_STEP_BUDGET");
+    ::unsetenv("GPC_WATCHDOG");
     FAIL() << "expected DeviceFault";
   } catch (const DeviceFault& e) {
-    ::unsetenv("GPC_SIM_STEP_BUDGET");
+    ::unsetenv("GPC_WATCHDOG");
     EXPECT_NE(std::string(e.what()).find("instruction budget"),
               std::string::npos);
   }

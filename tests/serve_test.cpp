@@ -1,11 +1,10 @@
-// gpc::serve tests: GPC_SERVE config parsing (strict rejection of typos),
-// submit/complete/readback through both front-ends, the content-addressed
-// compiled-kernel cache (second submission of the same AST + front-end +
-// device never recompiles), bounded admission (queue-full SHED), deadline
-// handling (pre-dequeue shed and the deadline->step-budget watchdog abort),
-// the per-device circuit breaker state machine, per-job thread-local fault
-// plans, gpc::virt quota pressure, and exactly-once completion accounting
-// through shutdown. Labelled "serve" in ctest and run under ThreadSanitizer
+// gpc::serve tests: submit/complete/readback through both front-ends, the
+// content-addressed compiled-kernel cache (second submission of the same
+// AST + front-end + device never recompiles), bounded admission (queue-full
+// SHED), deadline handling (pre-dequeue shed and the deadline->step-budget
+// watchdog abort), the per-device circuit breaker state machine, per-job
+// thread-local fault plans, gpc::virt quota pressure, and exactly-once
+// completion accounting through shutdown. Labelled "serve" in ctest and run under ThreadSanitizer
 // by tools/run_tsan.sh — the queue handoff and completion latch must be
 // clean.
 #include <gtest/gtest.h>
@@ -55,11 +54,9 @@ class ServeTest : public ::testing::Test {
     resil::FaultPlan::instance().reset();
     resil::reset_counters();
     resil::set_policy_override(std::nullopt);
-    ::unsetenv("GPC_SERVE");
     ::unsetenv("GPC_RETRY");
     ::unsetenv("GPC_DEGRADE");
     ::unsetenv("GPC_WATCHDOG");
-    ::unsetenv("GPC_SIM_STEP_BUDGET");
   }
 };
 
@@ -133,57 +130,6 @@ std::unique_ptr<resil::FaultPlan> plan_with(resil::Site site, double p,
   s.count = count;
   plan->set(site, s);
   return plan;
-}
-
-// ---------------------------------------------------------------------------
-// GPC_SERVE config grammar
-
-TEST_F(ServeTest, ConfigParsesFullSpec) {
-  const serve::ServeConfig cfg = serve::parse_serve_config(
-      "workers=4,shards=2,queue_cap=256,deadline_ms=100.5,breaker=5,"
-      "breaker_cooldown_ms=25,batch=16,steps_per_ms=5000");
-  EXPECT_EQ(cfg.workers, 4);
-  EXPECT_EQ(cfg.shards, 2);
-  EXPECT_EQ(cfg.queue_cap, 256);
-  EXPECT_DOUBLE_EQ(cfg.deadline_ms, 100.5);
-  EXPECT_EQ(cfg.breaker, 5);
-  EXPECT_DOUBLE_EQ(cfg.breaker_cooldown_ms, 25.0);
-  EXPECT_EQ(cfg.batch, 16);
-  EXPECT_EQ(cfg.steps_per_ms, 5000u);
-}
-
-TEST_F(ServeTest, ConfigDefaultsWhenEmptyOrUnset) {
-  const serve::ServeConfig cfg = serve::parse_serve_config("");
-  EXPECT_EQ(cfg.workers, 0);
-  EXPECT_EQ(cfg.shards, 1);
-  EXPECT_EQ(cfg.queue_cap, 1024);
-  EXPECT_DOUBLE_EQ(cfg.deadline_ms, 0.0);
-  EXPECT_EQ(cfg.breaker, 0);
-  const serve::ServeConfig env = serve::serve_config_from_env();
-  EXPECT_EQ(env.queue_cap, 1024);
-}
-
-TEST_F(ServeTest, ConfigReadsEnvironment) {
-  ::setenv("GPC_SERVE", "workers=2,queue_cap=8", 1);
-  const serve::ServeConfig cfg = serve::serve_config_from_env();
-  ::unsetenv("GPC_SERVE");
-  EXPECT_EQ(cfg.workers, 2);
-  EXPECT_EQ(cfg.queue_cap, 8);
-  EXPECT_EQ(cfg.shards, 1);  // untouched keys keep defaults
-}
-
-TEST_F(ServeTest, ConfigRejectsTypos) {
-  // A serving-config typo must not silently serve with defaults.
-  EXPECT_THROW(serve::parse_serve_config("wrokers=4"), InvalidArgument);
-  EXPECT_THROW(serve::parse_serve_config("workers"), InvalidArgument);
-  EXPECT_THROW(serve::parse_serve_config("workers=abc"), InvalidArgument);
-  EXPECT_THROW(serve::parse_serve_config("workers=-1"), InvalidArgument);
-  EXPECT_THROW(serve::parse_serve_config("shards=0"), InvalidArgument);
-  EXPECT_THROW(serve::parse_serve_config("queue_cap=0"), InvalidArgument);
-  EXPECT_THROW(serve::parse_serve_config("deadline_ms=-5"), InvalidArgument);
-  EXPECT_THROW(serve::parse_serve_config("deadline_ms=5x"), InvalidArgument);
-  EXPECT_THROW(serve::parse_serve_config("batch=0"), InvalidArgument);
-  EXPECT_THROW(serve::parse_serve_config("steps_per_ms=0"), InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

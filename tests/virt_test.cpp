@@ -1,4 +1,4 @@
-// gpc::virt tests: GPC_VIRT config parsing, quota enforcement (over-quota
+// gpc::virt tests: VirtConfig validation, quota enforcement (over-quota
 // tenant gets OutOfResources, neighbours unaffected), preempt/resume
 // bit-identity of time-sliced execution vs. the un-sliced launch for every
 // registered benchmark, weighted fair-share ratios under real contention,
@@ -66,43 +66,7 @@ void expect_stats_equal(const sim::BlockStats& a, const sim::BlockStats& b) {
 }
 
 // ---------------------------------------------------------------------------
-// GPC_VIRT parsing
-
-TEST(VirtConfig, ParsesFullSpec) {
-  ::setenv("GPC_VIRT",
-           "tenants=8,slice=12345,weights=4:2:1,quota_mb=64,phys_mb=512,"
-           "watchdog=777,force_slice=1",
-           1);
-  const virt::VirtConfig cfg = virt::virt_config_from_env();
-  ::unsetenv("GPC_VIRT");
-  EXPECT_EQ(cfg.tenants, 8);
-  EXPECT_EQ(cfg.slice, 12345u);
-  ASSERT_EQ(cfg.weights.size(), 3u);
-  EXPECT_DOUBLE_EQ(cfg.weights[0], 4.0);
-  EXPECT_DOUBLE_EQ(cfg.weights[2], 1.0);
-  EXPECT_EQ(cfg.quota_bytes, std::size_t{64} << 20);
-  EXPECT_EQ(cfg.phys_bytes, std::size_t{512} << 20);
-  EXPECT_EQ(cfg.block_budget, 777u);
-  EXPECT_TRUE(cfg.force_slice);
-}
-
-TEST(VirtConfig, MalformedEntriesIgnored) {
-  ::setenv("GPC_VIRT", "tenants=bogus,slice=0,weights=1:-2,junk,quota_mb=", 1);
-  const virt::VirtConfig cfg = virt::virt_config_from_env();
-  ::unsetenv("GPC_VIRT");
-  const virt::VirtConfig def;
-  EXPECT_EQ(cfg.tenants, def.tenants);
-  EXPECT_EQ(cfg.slice, def.slice);
-  EXPECT_TRUE(cfg.weights.empty());
-  EXPECT_EQ(cfg.quota_bytes, def.quota_bytes);
-}
-
-TEST(VirtConfig, UnsetMeansDefaults) {
-  ::unsetenv("GPC_VIRT");
-  const virt::VirtConfig cfg = virt::virt_config_from_env();
-  EXPECT_EQ(cfg.tenants, 1);
-  EXPECT_FALSE(cfg.force_slice);
-}
+// VirtConfig validation
 
 TEST(VirtConfig, ManagerRejectsOvercommittedQuota) {
   virt::VirtConfig cfg;
