@@ -7,13 +7,16 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <memory>
 #include <string>
 #include <thread>
 
 #include "arch/device_spec.h"
 #include "common/config.h"
+#include "common/error.h"
 #include "common/log.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
@@ -31,7 +34,36 @@ struct Args {
   bool json = false;          // --json given (bare form: binary picks filename)
 };
 
+inline std::terminate_handler default_terminate = nullptr;
+
+/// Ends the process on an exception no main catches: an InvalidArgument
+/// (a malformed GPC_* value read per launch, a bad option) prints its
+/// one-line message and exits 2, any other gpc::Error prints its message and
+/// exits 1. Anything else goes to the default handler.
+[[noreturn]] inline void exit_on_error() {
+  if (const std::exception_ptr e = std::current_exception()) {
+    try {
+      std::rethrow_exception(e);
+    } catch (const InvalidArgument& err) {
+      config::exit_with(err.what());
+    } catch (const Error& err) {
+      std::fflush(stdout);
+      std::fprintf(stderr, "%s\n", err.what());
+      std::_Exit(1);
+    } catch (...) {
+    }
+  }
+  if (default_terminate != nullptr) default_terminate();
+  std::abort();
+}
+
+/// Parses the common options. Also installs exit_on_error() and rejects
+/// unknown GPC_* variable names (exit 2), before any work starts.
 inline Args parse_args(int argc, char** argv) {
+  if (std::get_terminate() != exit_on_error) {
+    default_terminate = std::set_terminate(exit_on_error);
+  }
+  config::or_exit(config::require_known_names);
   Args a;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {

@@ -71,6 +71,8 @@ std::vector<std::string> soak_pass(std::uint64_t seed, const Config& cfg,
     std::string status;
     try {
       status = b->run(*cfg.device, cfg.tc, opts).status;
+    } catch (const InvalidArgument&) {
+      throw;  // a malformed setting, not a run outcome: exit 2
     } catch (const std::exception& e) {
       std::printf("  UNCLASSIFIED: %s escaped with: %s\n", b->name().c_str(),
                   e.what());

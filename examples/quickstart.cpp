@@ -62,7 +62,7 @@ int main() {
         sim::KernelArg::f32(a), sim::KernelArg::s32(n)};
     ctx.launch(ck, cfg, args);
     ctx.download<float>(dy, cuda_result);
-    cuda_seconds = ctx.kernel_seconds();
+    cuda_seconds = ctx.totals().kernel_s;
   }
 
   // ---- OpenCL path (platform API) ----
@@ -93,7 +93,7 @@ int main() {
     check(q.enqueue_nd_range(prog.kernel(), {n, 1, 1}, {256, 1, 1}, args, &ev),
           "enqueue saxpy");
     check(q.enqueue_read_buffer(ocl_result.data(), by, n * 4), "read y");
-    ocl_seconds = q.kernel_seconds();
+    ocl_seconds = q.totals().kernel_s;
     std::printf("OpenCL profiling: queued->start %.1f us, start->end %.1f us\n",
                 ev.queued_to_start_s * 1e6, ev.start_to_end_s * 1e6);
   }

@@ -130,6 +130,9 @@ struct RuntimeSpec {
   // Additional per-launch cost proportional to grid size (driver builds the
   // dispatch descriptor); tiny but measurable.
   double launch_overhead_us_per_1k_groups = 0.25;
+  // Fixed cost of one host<->device copy on top of the PCIe transfer time
+  // (driver call + DMA setup), in seconds.
+  double transfer_overhead_s = 8e-6;
 };
 
 RuntimeSpec cuda_runtime();

@@ -36,6 +36,7 @@ RuntimeSpec cuda_runtime() {
   // notes OpenCL's is longer and that the gap grows with problem size.
   rs.launch_overhead_us = 7.0;
   rs.launch_overhead_us_per_1k_groups = 0.2;
+  rs.transfer_overhead_s = 8e-6;
   return rs;
 }
 
@@ -45,6 +46,7 @@ RuntimeSpec opencl_runtime() {
   // Command-queue enqueue + dispatch is heavier in the OpenCL 1.1 runtime.
   rs.launch_overhead_us = 17.0;
   rs.launch_overhead_us_per_1k_groups = 0.5;
+  rs.transfer_overhead_s = 10e-6;
   return rs;
 }
 

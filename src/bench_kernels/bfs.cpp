@@ -178,7 +178,7 @@ class BfsBenchmark final : public BenchmarkBase {
     s.download<std::int32_t>(d_cost, got);
     const auto want = bfs_reference(g, src);
     r->correct = got == want;
-    r->value = s.kernel_seconds();
+    r->value = s.totals().kernel_s;
   }
 };
 

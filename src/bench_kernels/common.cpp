@@ -29,12 +29,13 @@ Result BenchmarkBase::attempt_in(harness::DeviceSession& session,
   try {
     prof::ScopedSpan span("bench", name());
     run_impl(session, opts, &r);
-    r.seconds = session.kernel_seconds();
-    r.launches = session.launches();
-    r.launch_seconds = session.launch_seconds();
-    r.issue_seconds = session.issue_seconds();
-    r.dram_seconds = session.dram_seconds();
-    r.occupancy = session.last_occupancy();
+    const sim::LaunchTotals& t = session.totals();
+    r.seconds = t.kernel_s;
+    r.launches = t.launches;
+    r.launch_seconds = t.launch_s;
+    r.issue_seconds = t.issue_s;
+    r.dram_seconds = t.dram_s;
+    r.occupancy = t.last_occupancy;
     // A session that fell back to a split launch or degraded execution
     // completed, but not at full width/fidelity: classify DEG. Wrong
     // results without degradation are FL — quarantined from PR aggregates

@@ -264,7 +264,7 @@ class DxtcBenchmark final : public BenchmarkBase {
     std::vector<std::int32_t> want;
     dxtc_reference(img, wb, hb, &want);
     r->correct = got == want;
-    r->value = static_cast<double>(w) * h / s.kernel_seconds() / 1e6;
+    r->value = static_cast<double>(w) * h / s.totals().kernel_s / 1e6;
   }
 };
 

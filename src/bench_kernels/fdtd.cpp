@@ -136,7 +136,7 @@ class FdtdBenchmark final : public BenchmarkBase {
     r->correct = nearly_equal(got, want, 1e-4f, 1e-4f);
 
     const double points = static_cast<double>(w) * h * d;
-    r->value = points / s.kernel_seconds() / 1e6;
+    r->value = points / s.totals().kernel_s / 1e6;
   }
 };
 

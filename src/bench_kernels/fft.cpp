@@ -186,7 +186,7 @@ class FftBenchmark final : public BenchmarkBase {
     }
 
     const double flops = 5.0 * kFftN * kFftLog2N * batch;
-    r->value = flops / s.kernel_seconds() / 1e9;
+    r->value = flops / s.totals().kernel_s / 1e9;
   }
 };
 

@@ -99,7 +99,7 @@ class MxMBenchmark final : public BenchmarkBase {
       }
     }
     r->correct = nearly_equal(got, want, 2e-3f, 2e-3f);
-    r->value = 2.0 * n * n * static_cast<double>(n) / s.kernel_seconds() / 1e9;
+    r->value = 2.0 * n * n * static_cast<double>(n) / s.totals().kernel_s / 1e9;
   }
 };
 

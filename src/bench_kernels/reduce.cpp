@@ -127,7 +127,7 @@ class ReduceBenchmark final : public BenchmarkBase {
     double want = 0;
     for (float v : data) want += v;
     r->correct = std::fabs(got - want) <= 1e-5 * want + 1e-3;
-    r->value = static_cast<double>(n) * 4 / s.kernel_seconds() / 1e9;
+    r->value = static_cast<double>(n) * 4 / s.totals().kernel_s / 1e9;
   }
 };
 

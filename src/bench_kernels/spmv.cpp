@@ -178,7 +178,7 @@ class SpmvBenchmark final : public BenchmarkBase {
     }
     // The warp reduction reorders the summation; tolerance absorbs it.
     r->correct = nearly_equal(got, want, 1e-3f, 1e-3f);
-    r->value = 2.0 * m.nnz() / s.kernel_seconds() / 1e9;
+    r->value = 2.0 * m.nnz() / s.totals().kernel_s / 1e9;
   }
 };
 

@@ -114,7 +114,7 @@ class DeviceMemoryBenchmark final : public BenchmarkBase {
                  1e-3 * std::max(1.0, std::fabs(want0));
 
     const double bytes = static_cast<double>(n) * 4;
-    r->value = bytes / s.kernel_seconds() / 1e9;
+    r->value = bytes / s.totals().kernel_s / 1e9;
   }
 };
 
@@ -162,7 +162,7 @@ class MaxFlopsBenchmark final : public BenchmarkBase {
 
     const double flops_per_thread =
         static_cast<double>(iters) * inner * (interleave ? 3.0 : 2.0);
-    r->value = flops_per_thread * threads / s.kernel_seconds() / 1e9;
+    r->value = flops_per_thread * threads / s.totals().kernel_s / 1e9;
   }
 };
 

@@ -101,7 +101,7 @@ class TranPBenchmark final : public BenchmarkBase {
       }
     }
     const double bytes = 2.0 * a.size() * 4;  // read + write
-    r->value = bytes / s.kernel_seconds() / 1e9;
+    r->value = bytes / s.totals().kernel_s / 1e9;
   }
 };
 

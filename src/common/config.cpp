@@ -110,4 +110,18 @@ std::vector<std::pair<std::string, std::string>> gpc_vars() {
   return out;
 }
 
+void require_known_names() {
+  for (const auto& [name, value] : gpc_vars()) {
+    if (std::find(std::begin(kKnownVariables), std::end(kKnownVariables),
+                  name) != std::end(kKnownVariables)) {
+      continue;
+    }
+    std::string known;
+    for (const std::string_view k : kKnownVariables) {
+      known.append(known.empty() ? "" : ", ").append(k);
+    }
+    throw InvalidArgument(name + ": unknown variable (known: " + known + ")");
+  }
+}
+
 }  // namespace gpc::config

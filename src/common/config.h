@@ -95,4 +95,18 @@ auto or_exit(Parse&& parse) -> decltype(parse()) {
 /// name: the record of which knobs produced a run.
 std::vector<std::pair<std::string, std::string>> gpc_vars();
 
+/// Every GPC_* name the project reads: the nine library variables and the
+/// soak benches' GPC_VIRT_SEED.
+inline constexpr std::string_view kKnownVariables[] = {
+    "GPC_AIWC",         "GPC_DEGRADE",     "GPC_FAULT",     "GPC_LOG",
+    "GPC_PROF",         "GPC_RETRY",       "GPC_SIM_SANITIZE",
+    "GPC_SIM_THREADS",  "GPC_VIRT_SEED",   "GPC_WATCHDOG",
+};
+
+/// Throws InvalidArgument "<name>: unknown variable (known: ...)" for the
+/// first GPC_* variable of the process that is not in kKnownVariables, so a
+/// misspelt name fails instead of silently meaning the default. The library
+/// never calls this (tests set scratch GPC_* names); the bench binaries do.
+void require_known_names();
+
 }  // namespace gpc::config

@@ -26,7 +26,7 @@ void Context::memcpy_h2d(DevicePtr dst, const void* src, std::size_t bytes) {
   }
   prof::ScopedSpan span("xfer", "cudaMemcpy(H2D)");
   mem_.write(dst, src, bytes);
-  transfer_seconds_ += bytes / (spec_.pcie_gb_per_s * 1e9) + 8e-6;
+  totals_.transfer_s += sim::time_transfer(spec_, runtime_, bytes);
 }
 
 void Context::memcpy_d2h(void* dst, DevicePtr src, std::size_t bytes) {
@@ -37,7 +37,7 @@ void Context::memcpy_d2h(void* dst, DevicePtr src, std::size_t bytes) {
   }
   prof::ScopedSpan span("xfer", "cudaMemcpy(D2H)");
   mem_.read(src, dst, bytes);
-  transfer_seconds_ += bytes / (spec_.pcie_gb_per_s * 1e9) + 8e-6;
+  totals_.transfer_s += sim::time_transfer(spec_, runtime_, bytes);
 }
 
 compiler::CompiledKernel Context::compile(const kernel::KernelDef& def,
@@ -70,12 +70,7 @@ sim::LaunchResult Context::launch(const compiler::CompiledKernel& ck,
       virt_ ? virt_->launch(spec_, runtime_, ck, config, args, mem_, textures_)
             : sim::launch_kernel(spec_, runtime_, ck, config, args, mem_,
                                  textures_);
-  kernel_seconds_ += r.timing.seconds;
-  launch_seconds_ += r.timing.launch_s;
-  issue_seconds_ += r.timing.issue_s;
-  dram_seconds_ += r.timing.dram_s;
-  last_occupancy_ = r.timing.occupancy;
-  ++launches_;
+  totals_.add(r.timing);
   if (prof::enabled()) {
     prof::recorder().record_launch(arch::Toolchain::Cuda, spec_.short_name,
                                    ck.name(), r.timing, r.stats,

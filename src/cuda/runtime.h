@@ -3,8 +3,10 @@
 // Mirrors the CUDA runtime's shape (context-per-device, cudaMalloc/cudaMemcpy,
 // kernel launches with grid/block dims, texture binding) so the benchmark
 // drivers read like their CUDA-SDK/SHOC originals. Kernels are compiled with
-// the NVOPENCC-policy front end and launched with the CUDA runtime's low
-// enqueue latency.
+// the NVOPENCC-policy front end. What sets this runtime apart from gpc::ocl
+// is its API shape (exceptions, textures) and its arch::cuda_runtime() data
+// (low enqueue latency, per-copy overhead); copy pricing
+// (sim::time_transfer) and the timers (sim::LaunchTotals) are shared.
 #pragma once
 
 #include <cstdint>
@@ -79,35 +81,15 @@ class Context {
   virt::TenantQueue* virt_queue() const { return virt_; }
 
   // ---- Timers (event-style accumulation) ----
-  double kernel_seconds() const { return kernel_seconds_; }
-  double transfer_seconds() const { return transfer_seconds_; }
-  int launches() const { return launches_; }
-  /// Component sums of the analytical timing model over all launches, so a
-  /// caller can explain *where* kernel_seconds() went without re-running
-  /// under a profiler: launch overhead / issue-bound / memory-bound time.
-  double launch_seconds() const { return launch_seconds_; }
-  double issue_seconds() const { return issue_seconds_; }
-  double dram_seconds() const { return dram_seconds_; }
-  /// Occupancy of the most recent launch (including what limited it).
-  const sim::Occupancy& last_occupancy() const { return last_occupancy_; }
-  void reset_timers() {
-    kernel_seconds_ = transfer_seconds_ = 0;
-    launch_seconds_ = issue_seconds_ = dram_seconds_ = 0;
-    launches_ = 0;
-  }
+  const sim::LaunchTotals& totals() const { return totals_; }
+  void reset_timers() { totals_ = {}; }
 
  private:
   const arch::DeviceSpec& spec_;
   arch::RuntimeSpec runtime_;
   sim::DeviceMemory mem_;
   std::vector<sim::TexBinding> textures_;
-  double kernel_seconds_ = 0;
-  double transfer_seconds_ = 0;
-  double launch_seconds_ = 0;
-  double issue_seconds_ = 0;
-  double dram_seconds_ = 0;
-  sim::Occupancy last_occupancy_;
-  int launches_ = 0;
+  sim::LaunchTotals totals_;
   virt::TenantQueue* virt_ = nullptr;
 };
 

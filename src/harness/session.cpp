@@ -46,72 +46,69 @@ void DeviceSession::note_retry(const char* site, int attempt,
   resil::backoff_sleep(policy_, attempt, salt);
 }
 
-void DeviceSession::write(std::uint64_t addr, const void* src,
-                          std::size_t bytes) {
+template <typename Op>
+auto DeviceSession::retry_transient(const char* site, std::uint64_t salt,
+                                    Op&& op) -> decltype(op()) {
   for (int attempt = 0;; ++attempt) {
     try {
-      if (cuda_) {
-        cuda_->memcpy_h2d(addr, src, bytes);
-        return;
-      }
-      const ocl::Status st =
-          ocl_queue_->enqueue_write_buffer({addr, bytes}, src, bytes);
-      if (st == ocl::Status::OutOfHostMemory) {
-        throw TransientFault(ocl_queue_->last_error().empty()
-                                 ? "buffer write failed transiently"
-                                 : ocl_queue_->last_error());
-      }
-      GPC_CHECK(st == ocl::Status::Success, "buffer write failed");
-      return;
+      return op();
     } catch (const TransientFault&) {
       if (attempt >= policy_.max_retries) throw;
-      note_retry("memcpy", attempt, kSaltMemcpy);
+      note_retry(site, attempt, salt);
     }
   }
 }
 
-void DeviceSession::read(void* dst, std::uint64_t addr, std::size_t bytes) {
-  for (int attempt = 0;; ++attempt) {
-    try {
-      if (cuda_) {
-        cuda_->memcpy_d2h(dst, addr, bytes);
-        return;
-      }
-      const ocl::Status st =
-          ocl_queue_->enqueue_read_buffer(dst, {addr, bytes}, bytes);
-      if (st == ocl::Status::OutOfHostMemory) {
-        throw TransientFault(ocl_queue_->last_error().empty()
-                                 ? "buffer read failed transiently"
-                                 : ocl_queue_->last_error());
-      }
-      GPC_CHECK(st == ocl::Status::Success, "buffer read failed");
-      return;
-    } catch (const TransientFault&) {
-      if (attempt >= policy_.max_retries) throw;
-      note_retry("memcpy", attempt, kSaltMemcpy);
-    }
+void DeviceSession::throw_on_error(ocl::Status st, const char* call) const {
+  if (st == ocl::Status::Success) return;
+  const std::string& detail = ocl_queue_->last_error();
+  std::string what = detail.empty()
+                         ? std::string(call) + ": " + ocl::to_string(st) +
+                               " on " + spec_.short_name
+                         : detail;
+  switch (st) {
+    case ocl::Status::OutOfResources: throw OutOfResources(std::move(what));
+    case ocl::Status::DeviceFault: throw DeviceFault(std::move(what));
+    case ocl::Status::OutOfHostMemory: throw TransientFault(std::move(what));
+    case ocl::Status::InvalidKernelArgs:
+    case ocl::Status::InvalidWorkGroupSize:
+      throw InvalidArgument(std::move(what));
+    default:
+      throw InternalError(std::move(what));
   }
+}
+
+void DeviceSession::write(std::uint64_t addr, const void* src,
+                          std::size_t bytes) {
+  retry_transient("memcpy", kSaltMemcpy, [&] {
+    if (cuda_) return cuda_->memcpy_h2d(addr, src, bytes);
+    throw_on_error(ocl_queue_->enqueue_write_buffer({addr, bytes}, src, bytes),
+                   "clEnqueueWriteBuffer");
+  });
+}
+
+void DeviceSession::read(void* dst, std::uint64_t addr, std::size_t bytes) {
+  retry_transient("memcpy", kSaltMemcpy, [&] {
+    if (cuda_) return cuda_->memcpy_d2h(dst, addr, bytes);
+    throw_on_error(ocl_queue_->enqueue_read_buffer(dst, {addr, bytes}, bytes),
+                   "clEnqueueReadBuffer");
+  });
 }
 
 compiler::CompiledKernel DeviceSession::compile(
     const kernel::KernelDef& def, const compiler::CompileOptions& opts) {
-  for (int attempt = 0;; ++attempt) {
-    try {
-      if (cuda_) return cuda_->compile(def, opts);
-      // OpenCL path: this facade compiles directly (the drivers do not go
-      // through ocl::Program), so the build injection site lives here.
-      if (resil::armed()) {
-        if (auto inj = resil::sample(resil::Site::Build, def.name)) {
-          throw TransientFault(inj->detail);
-        }
+  return retry_transient("build", kSaltBuild, [&] {
+    if (cuda_) return cuda_->compile(def, opts);
+    // OpenCL path: this facade compiles directly (the drivers do not go
+    // through ocl::Program), so the build injection site lives here.
+    if (resil::armed()) {
+      if (auto inj = resil::sample(resil::Site::Build, def.name)) {
+        throw TransientFault(inj->detail);
       }
-      prof::ScopedSpan span("compile", "clBuildProgram");
-      return compiler::compile(def, tc_, opts);
-    } catch (const TransientFault&) {
-      if (attempt >= policy_.max_retries) throw;
-      note_retry("build", attempt, kSaltBuild);
     }
-  }
+    prof::ScopedSpan span("compile", "clBuildProgram");
+    return compiler::compile(def, tc_, opts);
+  });
 }
 
 void DeviceSession::bind_texture(int unit, std::uint64_t base,
@@ -125,67 +122,30 @@ sim::LaunchResult DeviceSession::launch(const compiler::CompiledKernel& ck,
                                         sim::Dim3 grid, sim::Dim3 block,
                                         std::span<const sim::KernelArg> args,
                                         int dynamic_shared_bytes) {
-  return launch_resilient(ck, grid, block, args, dynamic_shared_bytes,
-                          sim::Dim3{0, 0, 0}, sim::Dim3{0, 0, 0}, 0);
+  sim::LaunchConfig cfg;
+  cfg.grid = grid;
+  cfg.block = block;
+  cfg.dynamic_shared_bytes = dynamic_shared_bytes;
+  cfg.step_budget = step_budget_;
+  return launch_resilient(ck, cfg, args, 0);
 }
 
 sim::LaunchResult DeviceSession::launch_once(
-    const compiler::CompiledKernel& ck, sim::Dim3 grid, sim::Dim3 block,
-    std::span<const sim::KernelArg> args, int dynamic_shared_bytes,
-    sim::Dim3 offset, sim::Dim3 logical, bool degraded) {
-  if (cuda_) {
-    sim::LaunchConfig cfg;
-    cfg.grid = grid;
-    cfg.block = block;
-    cfg.dynamic_shared_bytes = dynamic_shared_bytes;
-    cfg.grid_offset = offset;
-    cfg.logical_grid = logical;
-    cfg.degraded_exec = degraded;
-    cfg.step_budget = step_budget_;
-    return cuda_->launch(ck, cfg, args);
-  }
+    const compiler::CompiledKernel& ck, const sim::LaunchConfig& cfg,
+    std::span<const sim::KernelArg> args) {
+  if (cuda_) return cuda_->launch(ck, cfg, args);
   ocl::Event ev;
-  const sim::Dim3 global{grid.x * block.x, grid.y * block.y,
-                         grid.z * block.z};
-  ocl::LaunchOverrides ov;
-  ov.grid_offset = offset;
-  ov.logical_grid = logical;
-  ov.degraded_exec = degraded;
-  ov.step_budget = step_budget_;
-  const ocl::Status st = ocl_queue_->enqueue_nd_range(
-      ck, global, block, args, &ev, dynamic_shared_bytes, &ov);
-  if (st == ocl::Status::OutOfResources) {
-    throw OutOfResources(ocl_queue_->last_error().empty()
-                             ? std::string(ocl::to_string(st)) + " for " +
-                                   ck.name() + " on " + spec_.short_name
-                             : ocl_queue_->last_error());
-  }
-  if (st == ocl::Status::DeviceFault) {
-    // Convert the OpenCL error code back into the common exception so the
-    // benchmark drivers keep one kernel-fault failure path across both
-    // runtimes (CUDA throws it directly).
-    throw DeviceFault(ocl_queue_->last_error().empty()
-                          ? std::string(ocl::to_string(st)) + " for " +
-                                ck.name() + " on " + spec_.short_name
-                          : ocl_queue_->last_error());
-  }
-  GPC_CHECK(st == ocl::Status::Success,
-            std::string("enqueue failed: ") + ocl::to_string(st));
-  sim::LaunchResult r;
-  r.stats = ev.stats;
-  r.timing = ev.timing;
-  r.sanitizer = ev.sanitizer;
-  r.aiwc = ev.aiwc;
-  return r;
+  throw_on_error(ocl_queue_->enqueue_nd_range(ck, cfg, args, &ev),
+                 "clEnqueueNDRangeKernel");
+  return ev;
 }
 
 bool DeviceSession::structural_oor(const compiler::CompiledKernel& ck,
-                                   sim::Dim3 block,
-                                   int dynamic_shared_bytes) const {
+                                   const sim::LaunchConfig& cfg) const {
   sim::LaunchConfig probe;
   probe.grid = {1, 1, 1};
-  probe.block = block;
-  probe.dynamic_shared_bytes = dynamic_shared_bytes;
+  probe.block = cfg.block;
+  probe.dynamic_shared_bytes = cfg.dynamic_shared_bytes;
   try {
     (void)sim::compute_occupancy(spec_, ck, probe);
     return false;
@@ -195,15 +155,13 @@ bool DeviceSession::structural_oor(const compiler::CompiledKernel& ck,
 }
 
 sim::LaunchResult DeviceSession::launch_resilient(
-    const compiler::CompiledKernel& ck, sim::Dim3 grid, sim::Dim3 block,
-    std::span<const sim::KernelArg> args, int dynamic_shared_bytes,
-    sim::Dim3 offset, sim::Dim3 logical, int depth) {
+    const compiler::CompiledKernel& ck, const sim::LaunchConfig& cfg,
+    std::span<const sim::KernelArg> args, int depth) {
   for (int attempt = 0;; ++attempt) {
     try {
-      return launch_once(ck, grid, block, args, dynamic_shared_bytes, offset,
-                         logical, /*degraded=*/false);
+      return launch_once(ck, cfg, args);
     } catch (const OutOfResources& e) {
-      if (structural_oor(ck, block, dynamic_shared_bytes)) {
+      if (structural_oor(ck, cfg)) {
         // The kernel genuinely does not fit at this block shape; retrying
         // cannot help. Degraded execution is the caller-gated last resort.
         if (policy_.degrade && allow_degraded_exec_) {
@@ -216,8 +174,9 @@ sim::LaunchResult DeviceSession::launch_resilient(
           GPC_LOG(Info) << "resil: " << ck.name() << " on "
                         << spec_.short_name
                         << " runs in degraded-execution mode — " << e.what();
-          return launch_once(ck, grid, block, args, dynamic_shared_bytes,
-                             offset, logical, /*degraded=*/true);
+          sim::LaunchConfig degraded = cfg;
+          degraded.degraded_exec = true;
+          return launch_once(ck, degraded, args);
         }
         throw;
       }
@@ -228,9 +187,8 @@ sim::LaunchResult DeviceSession::launch_resilient(
         continue;
       }
       if (policy_.degrade && depth < policy_.max_split_depth &&
-          grid.count() > 1) {
-        return split_launch(ck, grid, block, args, dynamic_shared_bytes,
-                            offset, logical, depth);
+          cfg.grid.count() > 1) {
+        return split_launch(ck, cfg, args, depth);
       }
       throw;
     } catch (const TransientFault&) {
@@ -246,25 +204,26 @@ sim::LaunchResult DeviceSession::launch_resilient(
 }
 
 sim::LaunchResult DeviceSession::split_launch(
-    const compiler::CompiledKernel& ck, sim::Dim3 grid, sim::Dim3 block,
-    std::span<const sim::KernelArg> args, int dynamic_shared_bytes,
-    sim::Dim3 offset, sim::Dim3 logical, int depth) {
+    const compiler::CompiledKernel& ck, const sim::LaunchConfig& cfg,
+    std::span<const sim::KernelArg> args, int depth) {
   // Kernels observe the logical grid (NCtaId) and offset block ids, so the
   // two half-launches compute exactly what the full launch would.
-  const sim::Dim3 log = logical.x > 0 ? logical : grid;
-  sim::Dim3 g1 = grid, g2 = grid, o2 = offset;
+  const sim::Dim3 grid = cfg.grid;
+  sim::LaunchConfig c1 = cfg;
+  c1.logical_grid = cfg.logical();
+  sim::LaunchConfig c2 = c1;
   if (grid.x >= grid.y && grid.x >= grid.z) {
-    g1.x = grid.x / 2;
-    g2.x = grid.x - g1.x;
-    o2.x += g1.x;
+    c1.grid.x = grid.x / 2;
+    c2.grid.x = grid.x - c1.grid.x;
+    c2.grid_offset.x += c1.grid.x;
   } else if (grid.y >= grid.z) {
-    g1.y = grid.y / 2;
-    g2.y = grid.y - g1.y;
-    o2.y += g1.y;
+    c1.grid.y = grid.y / 2;
+    c2.grid.y = grid.y - c1.grid.y;
+    c2.grid_offset.y += c1.grid.y;
   } else {
-    g1.z = grid.z / 2;
-    g2.z = grid.z - g1.z;
-    o2.z += g1.z;
+    c1.grid.z = grid.z / 2;
+    c2.grid.z = grid.z - c1.grid.z;
+    c2.grid_offset.z += c1.grid.z;
   }
   ++degraded_events_;
   resil::counters().split_launches.fetch_add(1, std::memory_order_relaxed);
@@ -274,65 +233,20 @@ sim::LaunchResult DeviceSession::split_launch(
   GPC_LOG(Info) << "resil: splitting " << ck.name() << " grid ("
                 << grid.x << "," << grid.y << "," << grid.z
                 << ") after repeated OutOfResources (depth " << depth << ")";
-  sim::LaunchResult r1 = launch_resilient(ck, g1, block, args,
-                                          dynamic_shared_bytes, offset, log,
-                                          depth + 1);
-  sim::LaunchResult r2 = launch_resilient(ck, g2, block, args,
-                                          dynamic_shared_bytes, o2, log,
-                                          depth + 1);
-  // Merge as if one launch had run: order-independent sums for stats and
-  // the timing components, concatenated sanitizer findings.
-  r1.stats.total.merge(r2.stats.total);
-  for (std::size_t i = 0; i < r1.stats.sm_issue_weight.size() &&
-                          i < r2.stats.sm_issue_weight.size();
-       ++i) {
-    r1.stats.sm_issue_weight[i] += r2.stats.sm_issue_weight[i];
-  }
-  r1.stats.blocks += r2.stats.blocks;
+  sim::LaunchResult r1 = launch_resilient(ck, c1, args, depth + 1);
+  sim::LaunchResult r2 = launch_resilient(ck, c2, args, depth + 1);
+  // Each half was priced as a launch of its own; the merged launch is
+  // charged both.
   r1.timing.seconds += r2.timing.seconds;
   r1.timing.launch_s += r2.timing.launch_s;
   r1.timing.issue_s += r2.timing.issue_s;
   r1.timing.dram_s += r2.timing.dram_s;
-  r1.sanitizer.findings.insert(r1.sanitizer.findings.end(),
-                               r2.sanitizer.findings.begin(),
-                               r2.sanitizer.findings.end());
-  r1.sanitizer.dropped += r2.sanitizer.dropped;
-  // AIWC features merge like BlockStats: order-independent sums, so the
-  // split result is bit-identical to the whole-grid launch.
-  if (!r1.aiwc) {
-    r1.aiwc = r2.aiwc;
-  } else if (r2.aiwc) {
-    r1.aiwc->merge(*r2.aiwc);
-  }
+  sim::merge_partial(r1, std::move(r2));
   return r1;
 }
 
-double DeviceSession::kernel_seconds() const {
-  return cuda_ ? cuda_->kernel_seconds() : ocl_queue_->kernel_seconds();
-}
-
-double DeviceSession::transfer_seconds() const {
-  return cuda_ ? cuda_->transfer_seconds() : ocl_queue_->transfer_seconds();
-}
-
-int DeviceSession::launches() const {
-  return cuda_ ? cuda_->launches() : ocl_queue_->launches();
-}
-
-double DeviceSession::launch_seconds() const {
-  return cuda_ ? cuda_->launch_seconds() : ocl_queue_->launch_seconds();
-}
-
-double DeviceSession::issue_seconds() const {
-  return cuda_ ? cuda_->issue_seconds() : ocl_queue_->issue_seconds();
-}
-
-double DeviceSession::dram_seconds() const {
-  return cuda_ ? cuda_->dram_seconds() : ocl_queue_->dram_seconds();
-}
-
-const sim::Occupancy& DeviceSession::last_occupancy() const {
-  return cuda_ ? cuda_->last_occupancy() : ocl_queue_->last_occupancy();
+const sim::LaunchTotals& DeviceSession::totals() const {
+  return cuda_ ? cuda_->totals() : ocl_queue_->totals();
 }
 
 void DeviceSession::reset_timers() {

@@ -61,10 +61,11 @@ class DeviceSession {
                     ir::Type elem);
 
   /// Launches and accumulates kernel time. Throws OutOfResources when the
-  /// kernel does not fit the device, and DeviceFault when the kernel itself
-  /// faults mid-grid (under OpenCL this converts the CL_OUT_OF_RESOURCES /
-  /// CL_DEVICE_FAULT error codes back into the common exceptions so
-  /// benchmark drivers have one failure path per outcome).
+  /// kernel does not fit the device, DeviceFault when the kernel itself
+  /// faults mid-grid and InvalidArgument for a bad launch or a malformed
+  /// per-launch variable. Under OpenCL every error status maps back to the
+  /// exception CUDA throws (throw_on_error), so benchmark drivers have one
+  /// failure path per outcome.
   ///
   /// Resilience (src/resil, all off by default): with a retry budget,
   /// transient failures (TransientFault, DeviceFault, injected
@@ -105,18 +106,9 @@ class DeviceSession {
   /// Retries performed (memcpy, build and launch sites combined).
   int retries() const { return retries_; }
 
-  /// Accumulated kernel-side seconds (includes per-launch overhead — the
-  /// paper's BFS analysis depends on this being included).
-  double kernel_seconds() const;
-  double transfer_seconds() const;
-  int launches() const;
-  /// Timing-model component sums over all launches (launch overhead /
-  /// issue-bound / dram-bound seconds) and the last launch's occupancy —
-  /// what a PR outlier needs to be explained without a debugger.
-  double launch_seconds() const;
-  double issue_seconds() const;
-  double dram_seconds() const;
-  const sim::Occupancy& last_occupancy() const;
+  /// Kernel, transfer and timing-model seconds accumulated by the
+  /// session's runtime, and the last launch's occupancy.
+  const sim::LaunchTotals& totals() const;
   void reset_timers();
 
   /// The session's simulated device DRAM (the per-tenant heap for a
@@ -133,27 +125,29 @@ class DeviceSession {
  private:
   /// One raw launch of a (sub-)grid; no retry/fallback logic.
   sim::LaunchResult launch_once(const compiler::CompiledKernel& ck,
-                                sim::Dim3 grid, sim::Dim3 block,
-                                std::span<const sim::KernelArg> args,
-                                int dynamic_shared_bytes, sim::Dim3 offset,
-                                sim::Dim3 logical, bool degraded);
+                                const sim::LaunchConfig& cfg,
+                                std::span<const sim::KernelArg> args);
   sim::LaunchResult launch_resilient(const compiler::CompiledKernel& ck,
-                                     sim::Dim3 grid, sim::Dim3 block,
+                                     const sim::LaunchConfig& cfg,
                                      std::span<const sim::KernelArg> args,
-                                     int dynamic_shared_bytes,
-                                     sim::Dim3 offset, sim::Dim3 logical,
                                      int depth);
   sim::LaunchResult split_launch(const compiler::CompiledKernel& ck,
-                                 sim::Dim3 grid, sim::Dim3 block,
+                                 const sim::LaunchConfig& cfg,
                                  std::span<const sim::KernelArg> args,
-                                 int dynamic_shared_bytes, sim::Dim3 offset,
-                                 sim::Dim3 logical, int depth);
+                                 int depth);
   /// True when the kernel genuinely cannot fit the device at this block
   /// shape (re-validated directly against the occupancy model, which draws
   /// no injection samples — so injected OutOfResources probe as false).
-  bool structural_oor(const compiler::CompiledKernel& ck, sim::Dim3 block,
-                      int dynamic_shared_bytes) const;
+  bool structural_oor(const compiler::CompiledKernel& ck,
+                      const sim::LaunchConfig& cfg) const;
+  /// Runs op(), retrying TransientFault up to the policy's budget.
+  template <typename Op>
+  auto retry_transient(const char* site, std::uint64_t salt, Op&& op)
+      -> decltype(op());
   void note_retry(const char* site, int attempt, std::uint64_t salt);
+  /// The one mapping of an OpenCL error status back to the common
+  /// exceptions, carrying the queue's last_error() detail.
+  void throw_on_error(ocl::Status st, const char* call) const;
 
   const arch::DeviceSpec& spec_;
   arch::Toolchain tc_;

@@ -112,7 +112,7 @@ Status CommandQueue::enqueue_write_buffer(Buffer dst, const void* src,
   }
   prof::ScopedSpan span("xfer", "clEnqueueWriteBuffer");
   ctx_.mem_.write(dst.addr, src, bytes);
-  transfer_seconds_ += bytes / (ctx_.spec_.pcie_gb_per_s * 1e9) + 10e-6;
+  totals_.transfer_s += sim::time_transfer(ctx_.spec_, ctx_.runtime_, bytes);
   return Status::Success;
 }
 
@@ -132,16 +132,14 @@ Status CommandQueue::enqueue_read_buffer(void* dst, Buffer src,
   }
   prof::ScopedSpan span("xfer", "clEnqueueReadBuffer");
   ctx_.mem_.read(src.addr, dst, bytes);
-  transfer_seconds_ += bytes / (ctx_.spec_.pcie_gb_per_s * 1e9) + 10e-6;
+  totals_.transfer_s += sim::time_transfer(ctx_.spec_, ctx_.runtime_, bytes);
   return Status::Success;
 }
 
-Status CommandQueue::enqueue_nd_range(const compiler::CompiledKernel& ck,
-                                      sim::Dim3 global, sim::Dim3 local,
+Status CommandQueue::enqueue_nd_range(const Kernel& k, sim::Dim3 global,
+                                      sim::Dim3 local,
                                       std::span<const sim::KernelArg> args,
-                                      Event* event, int dynamic_local_bytes,
-                                      const LaunchOverrides* overrides) {
-  last_error_.clear();
+                                      Event* event, int dynamic_local_bytes) {
   if (global.x % local.x != 0 || global.y % local.y != 0 ||
       global.z % local.z != 0) {
     last_error_ = "global size is not a multiple of the work-group size";
@@ -151,25 +149,22 @@ Status CommandQueue::enqueue_nd_range(const compiler::CompiledKernel& ck,
   cfg.grid = {global.x / local.x, global.y / local.y, global.z / local.z};
   cfg.block = local;
   cfg.dynamic_shared_bytes = dynamic_local_bytes;
-  if (overrides != nullptr) {
-    cfg.grid_offset = overrides->grid_offset;
-    cfg.logical_grid = overrides->logical_grid;
-    cfg.degraded_exec = overrides->degraded_exec;
-    cfg.step_budget = overrides->step_budget;
-  }
+  return enqueue_nd_range(k.compiled(), cfg, args, event);
+}
+
+Status CommandQueue::enqueue_nd_range(const compiler::CompiledKernel& ck,
+                                      const sim::LaunchConfig& config,
+                                      std::span<const sim::KernelArg> args,
+                                      Event* event) {
+  last_error_.clear();
   try {
     prof::ScopedSpan span("api", "clEnqueueNDRangeKernel");
     sim::LaunchResult r =
-        virt_ ? virt_->launch(ctx_.spec_, ctx_.runtime_, ck, cfg,
-                              args, ctx_.mem_, {})
-              : sim::launch_kernel(ctx_.spec_, ctx_.runtime_, ck,
-                                   cfg, args, ctx_.mem_);
-    kernel_seconds_ += r.timing.seconds;
-    launch_seconds_ += r.timing.launch_s;
-    issue_seconds_ += r.timing.issue_s;
-    dram_seconds_ += r.timing.dram_s;
-    last_occupancy_ = r.timing.occupancy;
-    ++launches_;
+        virt_ ? virt_->launch(ctx_.spec_, ctx_.runtime_, ck, config, args,
+                              ctx_.mem_, {})
+              : sim::launch_kernel(ctx_.spec_, ctx_.runtime_, ck, config,
+                                   args, ctx_.mem_);
+    totals_.add(r.timing);
     if (prof::enabled()) {
       prof::recorder().record_launch(arch::Toolchain::OpenCl,
                                      ctx_.spec_.short_name, ck.name(),
@@ -179,10 +174,7 @@ Status CommandQueue::enqueue_nd_range(const compiler::CompiledKernel& ck,
     if (event != nullptr) {
       event->queued_to_start_s = r.timing.launch_s;
       event->start_to_end_s = r.timing.seconds - r.timing.launch_s;
-      event->stats = r.stats;
-      event->timing = r.timing;
-      event->sanitizer = r.sanitizer;
-      event->aiwc = r.aiwc;
+      static_cast<sim::LaunchResult&>(*event) = std::move(r);
     }
     return Status::Success;
   } catch (const OutOfResources& e) {

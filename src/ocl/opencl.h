@@ -5,11 +5,14 @@
 // with profiling, buffers, programs and kernels. Unlike the CUDA facade this
 // API reports failures through error codes — clEnqueueNDRangeKernel returning
 // CL_OUT_OF_RESOURCES on the Cell/BE is Table VI's "ABT" result, so the error
-// path is part of the reproduction.
+// path is part of the reproduction. Apart from that API shape, only the
+// arch::opencl_runtime() data (enqueue latency, per-copy overhead) differ
+// from gpc::cuda: launches take the same sim::LaunchConfig, and copy
+// pricing (sim::time_transfer) and the timers (sim::LaunchTotals) are
+// shared.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -102,18 +105,11 @@ class Program {
   std::string log_;
 };
 
-/// Profiling info of one enqueued command (CL_PROFILING_COMMAND_* analogue).
-struct Event {
+/// One enqueued command: the launch result (stats, timing, sanitizer
+/// findings, AIWC features) plus its CL_PROFILING_COMMAND_* analogue.
+struct Event : sim::LaunchResult {
   double queued_to_start_s = 0;  // the "kernel launch time" of §IV-B.4
   double start_to_end_s = 0;
-  sim::LaunchStats stats;
-  sim::KernelTiming timing;
-  /// Checking-layer findings when sanitizing was requested for the launch
-  /// (LaunchConfig::sanitize / GPC_SIM_SANITIZE); empty otherwise.
-  sim::SanitizerReport sanitizer;
-  /// Workload-characterization features when GPC_AIWC / LaunchConfig::aiwc
-  /// armed collection; null otherwise.
-  std::shared_ptr<aiwc::Features> aiwc;
 };
 
 class Context {
@@ -134,18 +130,6 @@ class Context {
   sim::DeviceMemory mem_;
 };
 
-/// Resilience-layer launch knobs threaded through enqueue_nd_range into
-/// sim::LaunchConfig (see interp.h): sub-grid execution for split launches
-/// and degraded-execution mode. Default-constructed = a plain full launch.
-struct LaunchOverrides {
-  sim::Dim3 grid_offset{0, 0, 0};
-  sim::Dim3 logical_grid{0, 0, 0};
-  bool degraded_exec = false;
-  /// Per-launch step budget (0 = unset); deadline propagation from
-  /// harness::DeviceSession::set_step_budget / gpc::serve.
-  std::uint64_t step_budget = 0;
-};
-
 class CommandQueue {
  public:
   explicit CommandQueue(Context& ctx) : ctx_(ctx) {}
@@ -160,37 +144,19 @@ class CommandQueue {
   Status enqueue_nd_range(const Kernel& k, sim::Dim3 global, sim::Dim3 local,
                           std::span<const sim::KernelArg> args,
                           Event* event = nullptr,
-                          int dynamic_local_bytes = 0,
-                          const LaunchOverrides* overrides = nullptr) {
-    return enqueue_nd_range(k.compiled(), global, local, args, event,
-                            dynamic_local_bytes, overrides);
-  }
-  /// As above, on a compiled kernel the caller owns: no copy is made, so the
+                          int dynamic_local_bytes = 0);
+  /// As above, with the work-group grid and every other sim::LaunchConfig
+  /// field (sub-grid offset, degraded execution, step budget) given by the
+  /// caller, on a compiled kernel the caller owns: no copy is made, so the
   /// simulator's decode cache fills on `ck` itself (harness::DeviceSession
   /// enqueues this way).
   Status enqueue_nd_range(const compiler::CompiledKernel& ck,
-                          sim::Dim3 global, sim::Dim3 local,
+                          const sim::LaunchConfig& config,
                           std::span<const sim::KernelArg> args,
-                          Event* event = nullptr,
-                          int dynamic_local_bytes = 0,
-                          const LaunchOverrides* overrides = nullptr);
+                          Event* event = nullptr);
 
-  double kernel_seconds() const { return kernel_seconds_; }
-  double transfer_seconds() const { return transfer_seconds_; }
-  int launches() const { return launches_; }
-  /// Component sums of the analytical timing model over all launches
-  /// (launch overhead / issue-bound / memory-bound); same contract as
-  /// cuda::Context so PR outliers are explainable on either side.
-  double launch_seconds() const { return launch_seconds_; }
-  double issue_seconds() const { return issue_seconds_; }
-  double dram_seconds() const { return dram_seconds_; }
-  /// Occupancy of the most recent successful enqueue (incl. the limiter).
-  const sim::Occupancy& last_occupancy() const { return last_occupancy_; }
-  void reset_timers() {
-    kernel_seconds_ = transfer_seconds_ = 0;
-    launch_seconds_ = issue_seconds_ = dram_seconds_ = 0;
-    launches_ = 0;
-  }
+  const sim::LaunchTotals& totals() const { return totals_; }
+  void reset_timers() { totals_ = {}; }
 
   /// Human-readable detail of the last enqueue that returned an error
   /// status (OpenCL's error codes carry no message; this is the analogue of
@@ -209,13 +175,7 @@ class CommandQueue {
 
  private:
   Context& ctx_;
-  double kernel_seconds_ = 0;
-  double transfer_seconds_ = 0;
-  double launch_seconds_ = 0;
-  double issue_seconds_ = 0;
-  double dram_seconds_ = 0;
-  sim::Occupancy last_occupancy_;
-  int launches_ = 0;
+  sim::LaunchTotals totals_;
   std::string last_error_;
   virt::TenantQueue* virt_ = nullptr;
 };

@@ -157,6 +157,29 @@ std::optional<Injection> FaultPlan::sample(Site s, const std::string& where) {
   return inj;
 }
 
+MidGridFault sample_launch_faults(FaultPlan& plan, const std::string& where,
+                                  const std::string& device,
+                                  long long blocks) {
+  if (auto inj = plan.sample(Site::Enqueue, where)) {
+    throw OutOfResources(inj->detail + " on " + device);
+  }
+  if (auto inj = plan.sample(Site::Hang, where)) {
+    // A launch that would stall forever. The step-budget watchdog is what
+    // catches real stalls (interp.cpp check_budget); injecting one surfaces
+    // the identical classified outcome without burning cycles.
+    note_watchdog_trip();
+    throw DeviceFault(inj->detail + ": kernel exceeded instruction budget" +
+                      " (hung launch tripped the watchdog)");
+  }
+  MidGridFault mid;
+  if (auto inj = plan.sample(Site::MidGrid, where)) {
+    mid.victim = static_cast<long long>(inj->aux %
+                                        static_cast<std::uint64_t>(blocks));
+    mid.detail = std::move(inj->detail);
+  }
+  return mid;
+}
+
 SiteSpec FaultPlan::spec(Site s) const {
   return sites_[static_cast<int>(s)].spec;
 }

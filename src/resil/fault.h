@@ -127,6 +127,24 @@ class FaultPlan {
   SiteState sites_[kNumSites];
 };
 
+/// A mid-grid fault drawn for one launch: the victim block (flat index into
+/// the grid; -1 when none was drawn) and the injection's detail.
+struct MidGridFault {
+  long long victim = -1;
+  std::string detail;
+};
+
+/// The launch-entry fault sites of `plan`, sampled once per launch in this
+/// order: enqueue throws OutOfResources("<detail> on <device>"); hang counts
+/// a watchdog trip and throws the watchdog's DeviceFault without burning
+/// cycles; mid-grid picks a victim among `blocks` for the caller to fault
+/// at. `where` names the launch in the details. Call only when
+/// plan.armed(). Shared by sim::launch_kernel (the thread's plan) and the
+/// gpc::virt tenant queues (each tenant's own plan).
+MidGridFault sample_launch_faults(FaultPlan& plan, const std::string& where,
+                                  const std::string& device,
+                                  long long blocks);
+
 // ---------------------------------------------------------------------------
 // Thread-local plan override. gpc::serve executes each job single-threaded
 // inside a worker and attaches a standalone per-job FaultPlan: installing it

@@ -5,9 +5,11 @@
 #include <unordered_map>
 #include <utility>
 
+#include "aiwc/aiwc.h"
 #include "common/error.h"
 #include "common/log.h"
 #include "prof/prof.h"
+#include "sim/sanitizer.h"
 #include "virt/virt.h"
 
 namespace gpc::serve {
@@ -88,6 +90,8 @@ struct Server::WorkerState {
 // Server lifecycle
 
 Server::Server(ServeConfig cfg) : cfg_(cfg), policy_(resil::active_policy()) {
+  (void)sim::sanitize_options_from_env();
+  (void)aiwc::enabled_from_env();
   GPC_REQUIRE(cfg_.shards >= 1 && cfg_.queue_cap >= 1 && cfg_.batch >= 1,
               "invalid ServeConfig");
   int workers = cfg_.workers;

@@ -165,6 +165,9 @@ class JobHandle {
 
 class Server {
  public:
+  /// Reads the resilience policy and validates the per-launch variables
+  /// (GPC_SIM_SANITIZE, GPC_AIWC): a malformed value throws InvalidArgument
+  /// here, to the caller, instead of turning every job into ABT.
   explicit Server(ServeConfig cfg = ServeConfig{});
   ~Server();  // drains accepted jobs, then stops the workers
 

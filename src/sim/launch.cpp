@@ -26,26 +26,10 @@ LaunchResult launch_kernel(const arch::DeviceSpec& spec,
   // so the fault sequence is a pure function of the plan's seeds and the
   // host-side launch order — never of block scheduling. Cost when no plan
   // is armed: one relaxed load.
-  long long midgrid_victim = -1;
-  std::string midgrid_detail;
-  if (resil::armed()) {
-    if (auto inj = resil::sample(resil::Site::Enqueue, ck.name())) {
-      throw OutOfResources(inj->detail + " on " + spec.short_name);
-    }
-    if (auto inj = resil::sample(resil::Site::Hang, ck.name())) {
-      // A launch that would stall forever. The step-budget watchdog is what
-      // catches real stalls (interp.cpp check_budget); injecting one
-      // surfaces the identical classified outcome without burning cycles.
-      resil::note_watchdog_trip();
-      throw DeviceFault(inj->detail + ": kernel exceeded instruction budget" +
-                        " (hung launch tripped the watchdog)");
-    }
-    if (auto inj = resil::sample(resil::Site::MidGrid, ck.name())) {
-      midgrid_victim =
-          static_cast<long long>(inj->aux % static_cast<std::uint64_t>(
-                                                config.grid.count()));
-      midgrid_detail = inj->detail;
-    }
+  resil::MidGridFault midgrid;
+  if (resil::FaultPlan& plan = resil::plan(); plan.armed()) {
+    midgrid = resil::sample_launch_faults(plan, ck.name(), spec.short_name,
+                                          config.grid.count());
   }
 
   // Resource validation happens before any execution — this is the
@@ -134,7 +118,7 @@ LaunchResult launch_kernel(const arch::DeviceSpec& spec,
   // blocks before the victim run first — their memory writes persist into a
   // retry, as on a device that faults mid-grid — and none after it, at every
   // thread count: the pool never races past the victim.
-  const long long nrun = midgrid_victim >= 0 ? midgrid_victim : nblocks;
+  const long long nrun = midgrid.victim >= 0 ? midgrid.victim : nblocks;
   pool.parallel_for_slotted(
       static_cast<std::size_t>(nrun),
       [&](std::size_t slot, std::size_t flat) {
@@ -148,9 +132,9 @@ LaunchResult launch_kernel(const arch::DeviceSpec& spec,
         block_weight[flat] = issue_cycles_for_attribution(bs, spec);
         slot_stats[slot].merge(bs);
       });
-  if (midgrid_victim >= 0) {
-    throw DeviceFault(midgrid_detail + " (block " +
-                      std::to_string(midgrid_victim) + "/" +
+  if (midgrid.victim >= 0) {
+    throw DeviceFault(midgrid.detail + " (block " +
+                      std::to_string(midgrid.victim) + "/" +
                       std::to_string(nblocks) + ")");
   }
 
@@ -168,6 +152,30 @@ LaunchResult launch_kernel(const arch::DeviceSpec& spec,
   if (san) result.sanitizer = san->report();
   if (awc) result.aiwc = awc->take();
   return result;
+}
+
+void merge_partial(LaunchResult& into, LaunchResult&& part) {
+  if (into.stats.blocks == 0) {
+    into = std::move(part);
+    return;
+  }
+  into.stats.total.merge(part.stats.total);
+  for (std::size_t i = 0; i < into.stats.sm_issue_weight.size() &&
+                          i < part.stats.sm_issue_weight.size();
+       ++i) {
+    into.stats.sm_issue_weight[i] += part.stats.sm_issue_weight[i];
+  }
+  into.stats.blocks += part.stats.blocks;
+  into.sanitizer.checks = into.sanitizer.checks | part.sanitizer.checks;
+  for (auto& f : part.sanitizer.findings) {
+    into.sanitizer.findings.push_back(std::move(f));
+  }
+  into.sanitizer.dropped += part.sanitizer.dropped;
+  if (!into.aiwc) {
+    into.aiwc = std::move(part.aiwc);
+  } else if (part.aiwc) {
+    into.aiwc->merge(*part.aiwc);
+  }
 }
 
 }  // namespace gpc::sim

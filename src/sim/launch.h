@@ -39,6 +39,14 @@ LaunchResult launch_kernel(const arch::DeviceSpec& spec,
                            std::span<const KernelArg> args, DeviceMemory& mem,
                            std::span<const TexBinding> textures = {});
 
+/// Folds the result of a partial launch (a split half, a virt slice) into
+/// `into` as if one launch had run: order-independent sums of the block
+/// statistics, SM weights and block counts, the union of sanitizer checks
+/// and findings, and merged AIWC features — so the merged result is
+/// bit-identical to the whole-grid launch. An empty `into` (no blocks) takes
+/// `part` as it is. Timing is not touched: the caller prices the merge.
+void merge_partial(LaunchResult& into, LaunchResult&& part);
+
 /// Internal: per-SM attribution weight of one block (exposed for tests).
 double issue_cycles_for_attribution(const BlockStats& s,
                                     const arch::DeviceSpec& spec);

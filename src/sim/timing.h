@@ -65,4 +65,35 @@ KernelTiming time_kernel(const arch::DeviceSpec& spec,
                          const compiler::CompiledKernel& ck,
                          const LaunchConfig& config, const LaunchStats& stats);
 
+/// Seconds one host<->device copy of `bytes` takes: PCIe time plus the
+/// runtime's fixed per-copy overhead.
+inline double time_transfer(const arch::DeviceSpec& spec,
+                            const arch::RuntimeSpec& runtime,
+                            std::size_t bytes) {
+  return bytes / (spec.pcie_gb_per_s * 1e9) + runtime.transfer_overhead_s;
+}
+
+/// What a runtime accumulates over its launches and copies (event-style
+/// timers). The timing-model components say where kernel_s went without
+/// re-running under a profiler: launch overhead, issue-bound, memory-bound.
+struct LaunchTotals {
+  double kernel_s = 0;    // includes per-launch overhead (the BFS analysis)
+  double transfer_s = 0;
+  double launch_s = 0;
+  double issue_s = 0;
+  double dram_s = 0;
+  int launches = 0;
+  /// Occupancy of the most recent launch, including what limited it.
+  Occupancy last_occupancy;
+
+  void add(const KernelTiming& t) {
+    kernel_s += t.seconds;
+    launch_s += t.launch_s;
+    issue_s += t.issue_s;
+    dram_s += t.dram_s;
+    last_occupancy = t.occupancy;
+    ++launches;
+  }
+};
+
 }  // namespace gpc::sim

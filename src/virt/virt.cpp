@@ -40,26 +40,16 @@ sim::LaunchResult TenantQueue::launch(const arch::DeviceSpec& spec,
   // this tenant's program order — so a tenant's fault sequence is a pure
   // function of its own plan and launch sequence, never of how the
   // scheduler happened to interleave tenants. This is what makes the virt
-  // soak's outcome vector replayable bit-for-bit under real concurrency.
+  // soak's outcome vector replayable bit-for-bit under real concurrency. A
+  // hung launch never occupies the shared device.
   if (plan_ && plan_->armed()) {
-    const std::string where = ck.name() + " [tenant " + std::to_string(id_) + "]";
-    if (auto inj = plan_->sample(resil::Site::Enqueue, where)) {
+    try {
+      job.midgrid = resil::sample_launch_faults(
+          *plan_, ck.name() + " [tenant " + std::to_string(id_) + "]",
+          spec.short_name, job.total_blocks);
+    } catch (const Error&) {
       faults_.fetch_add(1, std::memory_order_relaxed);
-      throw OutOfResources(inj->detail + " on " + spec.short_name);
-    }
-    if (auto inj = plan_->sample(resil::Site::Hang, where)) {
-      // Same contract as the global plan in sim::launch_kernel: a hung
-      // launch surfaces as the watchdog-classified DeviceFault without
-      // burning cycles — and without ever occupying the shared device.
-      resil::note_watchdog_trip();
-      faults_.fetch_add(1, std::memory_order_relaxed);
-      throw DeviceFault(inj->detail + ": kernel exceeded instruction budget" +
-                        " (hung launch tripped the watchdog)");
-    }
-    if (auto inj = plan_->sample(resil::Site::MidGrid, where)) {
-      job.victim_block = static_cast<long long>(
-          inj->aux % static_cast<std::uint64_t>(job.total_blocks));
-      job.victim_detail = inj->detail;
+      throw;
     }
   }
 
@@ -251,7 +241,7 @@ void VirtualDeviceManager::run_slice(std::unique_lock<std::mutex>& lk,
   std::uint64_t contended_consumed = 0;
   t.slices_.fetch_add(1, std::memory_order_relaxed);
 
-  if (tenants_.size() == 1 && !cfg_.force_slice && j.victim_block < 0) {
+  if (tenants_.size() == 1 && !cfg_.force_slice && j.midgrid.victim < 0) {
     // Work-conserving fast path, single-tenant managers only (nothing can
     // ever contend): execute the whole launch exactly as the unvirtualized
     // path would — one sim::launch_kernel call, unmodified config. The
@@ -313,14 +303,15 @@ void VirtualDeviceManager::run_slice(std::unique_lock<std::mutex>& lk,
     // Injected mid-grid fault: execute up to the victim block, then fail
     // the job at exactly that block — deterministic regardless of how the
     // grid was sliced.
-    if (j.victim_block >= j.next_block) {
-      if (j.victim_block == j.next_block) {
-        complete(std::make_exception_ptr(DeviceFault(
-            j.victim_detail + " (block " + std::to_string(j.victim_block) +
-            "/" + std::to_string(j.total_blocks) + ")")));
+    if (j.midgrid.victim >= j.next_block) {
+      if (j.midgrid.victim == j.next_block) {
+        complete(std::make_exception_ptr(
+            DeviceFault(j.midgrid.detail + " (block " +
+                        std::to_string(j.midgrid.victim) + "/" +
+                        std::to_string(j.total_blocks) + ")")));
         break;
       }
-      chunk = std::min(chunk, j.victim_block - j.next_block);
+      chunk = std::min(chunk, j.midgrid.victim - j.next_block);
     }
 
     sim::LaunchConfig sub = j.cfg;
@@ -357,34 +348,13 @@ void VirtualDeviceManager::run_slice(std::unique_lock<std::mutex>& lk,
     j.est_steps_per_block = static_cast<double>(chunk_steps) /
                             static_cast<double>(chunk);
 
-    // Merge chunk statistics into the logical launch's accumulator.
-    if (j.acc.stats.sm_issue_weight.empty()) {
-      j.acc.stats.sm_issue_weight.assign(res.stats.sm_issue_weight.size(), 0.0);
-    }
-    j.acc.stats.total.merge(res.stats.total);
-    for (std::size_t i = 0; i < res.stats.sm_issue_weight.size(); ++i) {
-      j.acc.stats.sm_issue_weight[i] += res.stats.sm_issue_weight[i];
-    }
-    j.acc.sanitizer.checks = j.acc.sanitizer.checks | res.sanitizer.checks;
-    for (auto& f : res.sanitizer.findings) {
-      j.acc.sanitizer.findings.push_back(std::move(f));
-    }
-    j.acc.sanitizer.dropped += res.sanitizer.dropped;
-    // AIWC features merge by order-independent sums: the sliced/preempted
-    // launch reports features bit-identical to the whole-grid launch.
-    if (!j.acc.aiwc) {
-      j.acc.aiwc = res.aiwc;
-    } else if (res.aiwc) {
-      j.acc.aiwc->merge(*res.aiwc);
-    }
+    sim::merge_partial(j.acc, std::move(res));
 
     j.next_block += chunk;
     if (j.next_block == j.total_blocks) {
       // Logical launch complete: price it ONCE from the merged statistics,
       // exactly as the unsliced launch would be priced — a launch split
       // into 100 slices is charged one launch overhead, not 100.
-      j.acc.stats.blocks = static_cast<int>(j.total_blocks);
-      j.acc.stats.threads_per_block = static_cast<int>(j.cfg.block.count());
       j.acc.timing =
           sim::time_kernel(*j.spec, *j.runtime, *j.ck, j.cfg, j.acc.stats);
       complete(nullptr);

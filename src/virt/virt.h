@@ -22,10 +22,11 @@
 //     are executed in sub-grid chunks through the exact split-launch
 //     mechanism of PR 5 (LaunchConfig::grid_offset + logical_grid): kernels
 //     observe logical CtaId/NCtaId coordinates, so a preempted-and-resumed
-//     grid computes bit-identical results to an unsliced launch. Timing is
-//     re-derived once per logical launch from the merged LaunchStats, so a
-//     launch split into 100 slices is charged ONE launch overhead, exactly
-//     like the unsliced launch.
+//     grid computes bit-identical results to an unsliced launch. Chunk
+//     results merge through sim::merge_partial (the split launch's merge)
+//     and timing is re-derived once per logical launch from the merged
+//     LaunchStats, so a launch split into 100 slices is charged ONE launch
+//     overhead, exactly like the unsliced launch.
 //   * a CREDIT-BASED FAIR-SHARE SCHEDULER (Xen-credit-style): tenants hold
 //     credits replenished proportionally to their weight and debited by the
 //     warp-instruction issues their slices actually executed; the runnable
@@ -59,7 +60,8 @@
 // neighbour by at most one block execution, never stall it.
 //
 // Per-tenant fault injection: a TenantQueue can own a private
-// resil::FaultPlan (enqueue / hang / midgrid sites) sampled on the
+// resil::FaultPlan (enqueue / hang / midgrid sites), sampled by the same
+// resil::sample_launch_faults prologue as sim::launch_kernel on the
 // SUBMITTING thread in program order — so a tenant's fault sequence is a
 // pure function of its own plan seeds and launch sequence, independent of
 // cross-tenant scheduling. This is what makes the virt soak's outcome
@@ -193,9 +195,8 @@ class TenantQueue {
     long long total_blocks = 0;
     long long next_block = 0;  // checkpoint: first unexecuted flat block
     double est_steps_per_block = 0;  // adaptive chunk sizing
-    long long victim_block = -1;     // injected midgrid fault target
-    std::string victim_detail;
-    sim::LaunchResult acc;  // merged stats/sanitizer; timing filled at end
+    resil::MidGridFault midgrid;     // injected midgrid fault target
+    sim::LaunchResult acc;  // merged via sim::merge_partial; timed at end
     bool done = false;
     std::exception_ptr error;
   };

@@ -417,7 +417,7 @@ TEST_F(AiwcTest, DisarmedLaunchesCarryNoFeaturesAndMatchArmedBitForBit) {
   // Collection is observation only: outputs, instruction mix, flops and the
   // priced time are bit-identical with and without it.
   EXPECT_EQ(on_run.out, off_run.out);
-  EXPECT_EQ(on.kernel_seconds(), off.kernel_seconds());
+  EXPECT_EQ(on.totals().kernel_s, off.totals().kernel_s);
   for (int k = 0; k < sim::kNumXKinds; ++k) {
     EXPECT_EQ(on_run.stats.xkind_issues[k], off_run.stats.xkind_issues[k]);
   }

@@ -114,6 +114,22 @@ TEST(ConfigDeathTest, OrExitPrintsTheMessageAndExitsNonZero) {
   EXPECT_EQ(config::or_exit([] { return 7; }), 7);
 }
 
+TEST(Config, RequireKnownNamesRejectsAMisspeltName) {
+  ::setenv("GPC_CONFIG_TEST_UNKNOWN", "1", 1);
+  try {
+    config::require_known_names();
+    ADD_FAILURE() << "unknown name accepted";
+  } catch (const InvalidArgument& e) {
+    const std::string msg = e.what();
+    EXPECT_EQ(msg.rfind("GPC_CONFIG_TEST_UNKNOWN: unknown variable (known: "
+                        "GPC_AIWC, ",
+                        0),
+              0u)
+        << msg;
+  }
+  ::unsetenv("GPC_CONFIG_TEST_UNKNOWN");
+}
+
 // ---------------------------------------------------------------------------
 // The nine variables
 
@@ -278,6 +294,13 @@ const std::vector<Variable>& variables() {
 }
 
 class ConfigTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ConfigTest, IsAKnownName) {
+  const Variable& var = variables()[GetParam()];
+  EXPECT_NE(std::find(std::begin(config::kKnownVariables),
+                      std::end(config::kKnownVariables), var.name),
+            std::end(config::kKnownVariables));
+}
 
 TEST_P(ConfigTest, ParsesStrictly) {
   const Variable& var = variables()[GetParam()];

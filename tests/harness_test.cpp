@@ -40,11 +40,11 @@ TEST_P(SessionBothToolchains, RoundTripsDataAndRunsKernels) {
   std::vector<std::int32_t> got(512);
   s.download<std::int32_t>(d, got);
   for (int i = 0; i < 512; ++i) EXPECT_EQ(got[i], 2 * i);
-  EXPECT_EQ(s.launches(), 1);
-  EXPECT_GT(s.kernel_seconds(), 0.0);
-  EXPECT_GT(s.transfer_seconds(), 0.0);
+  EXPECT_EQ(s.totals().launches, 1);
+  EXPECT_GT(s.totals().kernel_s, 0.0);
+  EXPECT_GT(s.totals().transfer_s, 0.0);
   s.reset_timers();
-  EXPECT_EQ(s.kernel_seconds(), 0.0);
+  EXPECT_EQ(s.totals().kernel_s, 0.0);
 }
 
 TEST_P(SessionBothToolchains, LaunchDecodesTheCallersKernelOnce) {
@@ -60,6 +60,25 @@ TEST_P(SessionBothToolchains, LaunchDecodesTheCallersKernelOnce) {
   ASSERT_NE(first, nullptr);
   s.launch(ck, {1, 1, 1}, {128, 1, 1}, args);
   EXPECT_EQ(ck.sim_cache.get(), first);
+}
+
+TEST_P(SessionBothToolchains, MalformedPerLaunchVariableThrowsInvalidArgument) {
+  // Under OpenCL the error crosses the status-code API (CL_INVALID_KERNEL_ARGS)
+  // and must come back as the same InvalidArgument, message intact.
+  harness::DeviceSession s(arch::gtx480(), GetParam());
+  const auto d = s.alloc(128 * 4);
+  auto ck = s.compile(doubler());
+  std::vector<sim::KernelArg> args = {sim::KernelArg::ptr(d)};
+  ::setenv("GPC_AIWC", "yes", 1);
+  try {
+    s.launch(ck, {1, 1, 1}, {128, 1, 1}, args);
+    ADD_FAILURE() << "launch accepted GPC_AIWC=yes";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("GPC_AIWC: bad value 'yes'"),
+              std::string::npos)
+        << e.what();
+  }
+  ::unsetenv("GPC_AIWC");
 }
 
 TEST_P(SessionBothToolchains, OversizedKernelReportsOutOfResources) {

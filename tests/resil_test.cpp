@@ -596,8 +596,8 @@ TEST_F(ResilTest, DegradedExecCompletesStructuralOverflowWhenAllowed) {
   s.set_allow_degraded_exec(true);
   ASSERT_NO_THROW((void)s.launch(ck, {1, 1, 1}, {32, 1, 1}, args));
   EXPECT_GT(s.degraded_events(), 0);
-  EXPECT_TRUE(s.last_occupancy().degraded);
-  EXPECT_STREQ(s.last_occupancy().limiter, "degraded");
+  EXPECT_TRUE(s.totals().last_occupancy.degraded);
+  EXPECT_STREQ(s.totals().last_occupancy.limiter, "degraded");
   // Functionally intact: the shared-staged identity still comes out right.
   std::vector<std::int32_t> out(32);
   s.download(d_out, std::span<std::int32_t>(out));

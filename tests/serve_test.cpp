@@ -135,6 +135,23 @@ std::unique_ptr<resil::FaultPlan> plan_with(resil::Site site, double p,
 // ---------------------------------------------------------------------------
 // Submit / complete / readback
 
+TEST_F(ServeTest, MalformedPerLaunchVariablesFailTheServerNotTheJobs) {
+  // A configuration error is the caller's, not a job outcome: the server
+  // refuses to start instead of classifying every job ABT.
+  for (const char* var : {"GPC_AIWC", "GPC_SIM_SANITIZE"}) {
+    SCOPED_TRACE(var);
+    ::setenv(var, "yes", 1);
+    try {
+      serve::Server server;
+      ADD_FAILURE() << "server started with " << var << "=yes";
+    } catch (const InvalidArgument& e) {
+      const std::string msg = e.what();
+      EXPECT_EQ(msg.rfind(std::string(var) + ": bad value", 0), 0u) << msg;
+    }
+    ::unsetenv(var);
+  }
+}
+
 TEST_F(ServeTest, SubmitCompletesWithReadback) {
   serve::ServeConfig cfg;
   cfg.workers = 2;
