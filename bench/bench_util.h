@@ -195,7 +195,7 @@ inline std::string host_json() {
                 "\"build_type\": \"%s\", \"compiler\": \"%s\", "
                 "\"commit\": \"%s\", \"env\": {",
                 std::thread::hardware_concurrency(),
-                std::max<std::size_t>(1, ThreadPool::shared().size()),
+                ThreadPool::shared().slots(),
                 GPC_BUILD_TYPE, GPC_COMPILER, commit().c_str());
   return buf + env + "}}";
 }

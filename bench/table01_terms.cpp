@@ -2,7 +2,10 @@
 #include "bench_util.h"
 #include "common/table.h"
 
-int main() {
+int main(int argc, char** argv) {
+  // No options of its own; rejects a misspelt GPC_* name and exits cleanly
+  // on a library error like every other bench binary.
+  (void)gpc::benchbin::parse_args(argc, argv);
   gpc::benchbin::heading(
       "Table I — A comparison of general terms (CUDA vs OpenCL)");
   gpc::TextTable t({"CUDA terminology", "OpenCL terminology"});

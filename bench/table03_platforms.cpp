@@ -4,8 +4,11 @@
 #include "bench_util.h"
 #include "common/table.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace gpc;
+  // No options of its own; rejects a misspelt GPC_* name and exits cleanly
+  // on a library error like every other bench binary.
+  (void)benchbin::parse_args(argc, argv);
   benchbin::heading("Table III — Details of underlying platforms");
   {
     int n = 0;

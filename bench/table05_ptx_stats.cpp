@@ -10,8 +10,11 @@
 #include "ir/function.h"
 #include "sim/decode.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace gpc;
+  // No options of its own; rejects a misspelt GPC_* name and exits cleanly
+  // on a library error like every other bench binary.
+  (void)benchbin::parse_args(argc, argv);
   benchbin::heading(
       "Table V — PTX instruction statistics, FFT forward kernel");
 

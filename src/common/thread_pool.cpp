@@ -23,14 +23,14 @@ thread_local const std::atomic<bool>* tls_cancel = nullptr;
 }  // namespace
 
 struct ThreadPool::Batch {
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> done{0};
-  // Set by the first chunk that throws. Claimed-but-unstarted chunks are
-  // then skipped (their indices never run), and bodies may poll it via
+  // The claim and completion counters sit on their own cache lines: every
+  // index bumps `next`, every thread bumps `done` once per batch.
+  alignas(64) std::atomic<std::size_t> next{0};
+  alignas(64) std::atomic<std::size_t> done{0};
+  // Set by the first index that throws. Indices not yet claimed are then
+  // skipped (they never run), and bodies may poll it via
   // ThreadPool::cancelled() to bail out of long iterations early.
   std::atomic<bool> cancelled{false};
-  std::size_t chunks = 0;
-  std::size_t chunk_size = 0;
   std::size_t count = 0;
   const std::function<void(std::size_t, std::size_t)>* body = nullptr;
   std::exception_ptr first_error;
@@ -43,11 +43,11 @@ ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  // With one worker everything runs inline in parallel_for; do not spawn.
-  if (threads == 1) return;
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i + 1); });
+  // The caller of parallel_for is one of the `threads`: it runs as slot 0,
+  // so one thread spawns no worker and everything runs inline.
+  workers_.reserve(threads - 1);
+  for (std::size_t slot = 1; slot < threads; ++slot) {
+    workers_.emplace_back([this, slot] { worker_loop(slot); });
   }
 }
 
@@ -60,36 +60,32 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::run_chunks(Batch& b, std::size_t slot) {
+void ThreadPool::run_indices(Batch& b, std::size_t slot) {
   const std::atomic<bool>* prev_cancel = tls_cancel;
   tls_cancel = &b.cancelled;
+  std::size_t claimed = 0;
   for (;;) {
-    const std::size_t c = b.next.fetch_add(1, std::memory_order_relaxed);
-    if (c >= b.chunks) break;
-    const std::size_t begin = c * b.chunk_size;
-    const std::size_t end = std::min(b.count, begin + b.chunk_size);
-    // A chunk claimed after a sibling failed is skipped entirely, and the
-    // flag is rechecked between indices so a fault in block 3 of 10,000
-    // does not simulate the other 9,997 before rethrowing. Skipped chunks
-    // still count towards `done` so the caller's wait completes.
-    if (!b.cancelled.load(std::memory_order_relaxed)) {
-      try {
-        for (std::size_t i = begin; i < end; ++i) {
-          if (b.cancelled.load(std::memory_order_relaxed)) break;
-          (*b.body)(slot, i);
-        }
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(b.error_mutex);
-          if (!b.first_error) b.first_error = std::current_exception();
-        }
-        b.cancelled.store(true, std::memory_order_relaxed);
+    const std::size_t i = b.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= b.count) break;
+    ++claimed;
+    // An index claimed after a sibling failed is skipped, so a fault in
+    // block 3 of 10,000 does not simulate the other 9,997 before
+    // rethrowing. Skipped indices still count towards `done` so the
+    // caller's wait completes.
+    if (b.cancelled.load(std::memory_order_relaxed)) continue;
+    try {
+      (*b.body)(slot, i);
+    } catch (...) {
+      {
+        std::lock_guard<std::mutex> lock(b.error_mutex);
+        if (!b.first_error) b.first_error = std::current_exception();
       }
+      b.cancelled.store(true, std::memory_order_relaxed);
     }
-    if (b.done.fetch_add(1) + 1 == b.chunks) {
-      std::lock_guard<std::mutex> lock(b.done_mutex);
-      b.done_cv.notify_all();
-    }
+  }
+  if (claimed > 0 && b.done.fetch_add(claimed) + claimed == b.count) {
+    std::lock_guard<std::mutex> lock(b.done_mutex);
+    b.done_cv.notify_all();
   }
   tls_cancel = prev_cancel;
 }
@@ -113,7 +109,7 @@ void ThreadPool::worker_loop(std::size_t slot) {
     }
     if (!b) continue;
     tls_in_parallel = true;
-    run_chunks(*b, slot);
+    run_indices(*b, slot);
     tls_in_parallel = false;
   }
 }
@@ -133,10 +129,8 @@ void ThreadPool::parallel_for_slotted(
 
   // The batch is owned by a shared_ptr so a worker that observes it late
   // (after the caller returned and published a newer generation) still holds
-  // a live object; it then finds all chunks claimed and moves on.
+  // a live object; it then finds every index claimed and moves on.
   auto batch = std::make_shared<Batch>();
-  batch->chunks = std::min(count, (nworkers + 1) * 4);
-  batch->chunk_size = (count + batch->chunks - 1) / batch->chunks;
   batch->count = count;
   batch->body = &body;
 
@@ -148,13 +142,13 @@ void ThreadPool::parallel_for_slotted(
   cv_.notify_all();
 
   tls_in_parallel = true;
-  run_chunks(*batch, /*slot=*/0);  // the caller participates as slot 0
+  run_indices(*batch, /*slot=*/0);  // the caller participates as slot 0
   tls_in_parallel = false;
 
   {
     std::unique_lock<std::mutex> lock(batch->done_mutex);
     batch->done_cv.wait(lock,
-                        [&] { return batch->done.load() >= batch->chunks; });
+                        [&] { return batch->done.load() >= batch->count; });
   }
   if (batch->first_error) std::rethrow_exception(batch->first_error);
 }

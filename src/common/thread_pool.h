@@ -8,9 +8,10 @@
 //
 // Scheduling: a parallel_for publishes ONE batch descriptor (a shared_ptr
 // swapped under the pool mutex and announced by a generation bump) instead of
-// queueing a std::function per worker. Workers then claim contiguous index
-// chunks off the batch with a single atomic fetch_add each — no allocation,
-// no queue traffic, no per-chunk locking.
+// queueing a std::function per worker. The calling thread and the workers
+// then claim indices off the batch one at a time with a single atomic
+// fetch_add each — no allocation, no queue traffic, no locking — so the
+// tail of a batch is at most one index (one simulated block) long.
 #pragma once
 
 #include <condition_variable>
@@ -26,13 +27,17 @@ namespace gpc {
 
 class ThreadPool {
  public:
-  /// Creates `threads` workers; 0 means std::thread::hardware_concurrency().
+  /// A pool of `threads` threads in total, the calling thread included: it
+  /// spawns threads - 1 workers, and the caller of parallel_for runs
+  /// indices as slot 0. 0 means std::thread::hardware_concurrency(); 1
+  /// spawns nothing and runs every batch inline.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// Spawned worker threads: threads - 1.
   std::size_t size() const { return workers_.size(); }
 
   /// Number of distinct `slot` values parallel_for_slotted can hand out:
@@ -40,9 +45,9 @@ class ThreadPool {
   std::size_t slots() const { return workers_.size() + 1; }
 
   /// Runs body(i) for every i in [0, count). Blocks until all complete.
-  /// Work is distributed in contiguous chunks to keep per-task overhead low.
-  /// If the pool has no workers (or count is 1) the calling thread executes
-  /// everything inline.
+  /// The caller and the workers claim indices one at a time. If the pool
+  /// has no workers (or count is 1) the calling thread executes everything
+  /// inline.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& body);
 
@@ -55,8 +60,9 @@ class ThreadPool {
       std::size_t count,
       const std::function<void(std::size_t, std::size_t)>& body);
 
-  /// Parses a GPC_SIM_THREADS value: an integer in [0, 1024], 0 (and
-  /// nullptr) meaning hardware concurrency. Throws InvalidArgument otherwise.
+  /// Parses a GPC_SIM_THREADS value: an integer in [0, 1024], the total
+  /// thread count, 0 (and nullptr) meaning hardware concurrency. Throws
+  /// InvalidArgument otherwise.
   static std::size_t parse_threads(const char* value);
 
   /// Process-wide pool, sized by GPC_SIM_THREADS when the pool is first
@@ -73,7 +79,7 @@ class ThreadPool {
   struct Batch;
 
   void worker_loop(std::size_t slot);
-  static void run_chunks(Batch& b, std::size_t slot);
+  static void run_indices(Batch& b, std::size_t slot);
 
   std::vector<std::thread> workers_;
   std::mutex mutex_;

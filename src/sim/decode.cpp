@@ -1,6 +1,7 @@
 #include "sim/decode.h"
 
 #include <mutex>
+#include <unordered_map>
 
 #include "common/error.h"
 #include "sim/value_codec.h"
@@ -431,6 +432,24 @@ MicroOp decode_one(const Instr& in) {
   }
 }
 
+/// Gives every non-register operand of the program its immediate row: one
+/// kImmRowLanes-wide row per distinct encoded value, the zero row first.
+void intern_immediates(DecodedProgram& prog) {
+  std::unordered_map<std::uint64_t, std::int32_t> rows;
+  const auto row_of = [&](std::uint64_t v) {
+    const auto [it, fresh] =
+        rows.try_emplace(v, static_cast<std::int32_t>(rows.size()));
+    if (fresh) prog.imm_rows.insert(prog.imm_rows.end(), kImmRowLanes, v);
+    return it->second;
+  };
+  row_of(0);
+  for (MicroOp& m : prog.ops) {
+    for (MOp* o : {&m.a, &m.b, &m.c}) {
+      if (o->reg < 0) o->row = row_of(o->imm);
+    }
+  }
+}
+
 }  // namespace
 
 const char* to_string(XKind k) {
@@ -473,6 +492,7 @@ DecodedProgram decode(const ir::Function& fn, bool fuse_idioms) {
     m.xop = xop_for(m);
     prog.ops.push_back(m);
   }
+  intern_immediates(prog);
   prog.fusion.total_ops = static_cast<std::uint32_t>(prog.ops.size());
   if (fuse_idioms) fuse(prog);
   compute_rpc(prog);

@@ -119,12 +119,20 @@ constexpr int kNumFusedPatterns = 4;
 
 const char* to_string(FusedPattern p);
 
+/// Lanes per immediate row: the widest lockstep width (the HD5870's 64-wide
+/// wavefront), so a row covers every lane id of every device's warps.
+constexpr int kImmRowLanes = 64;
+
 /// A resolved operand: a register slot or a pre-encoded immediate. The
 /// immediate is encoded with the type the interpreter would have used at the
 /// use site (e.g. U64 for global addresses, the instruction type for values),
-/// so fetching it is a plain load with no enc/dec switch.
+/// so fetching it is a plain load with no enc/dec switch. The decode pass
+/// also interns every immediate, and every absent operand (value 0), as a
+/// read-only row of DecodedProgram::imm_rows, so lane loops read an
+/// immediate through the same stride-1 pointer as a register row.
 struct MOp {
   std::int32_t reg = -1;   // >= 0: virtual register index
+  std::int32_t row = 0;    // reg < 0: imm's row in DecodedProgram::imm_rows
   std::uint64_t imm = 0;   // pre-encoded value when reg < 0
 };
 
@@ -180,6 +188,10 @@ struct DecodedProgram final : compiler::KernelCache {
   /// itself is order-based (sorted cohorts, min-pc first), so execution
   /// never depends on this table.
   std::vector<std::int32_t> rpc;
+  /// kImmRowLanes copies of each distinct immediate value, one row per
+  /// value, indexed by MOp::row. Row 0 is always the zero row, so a
+  /// default-constructed (absent) operand reads 0.
+  std::vector<std::uint64_t> imm_rows;
 };
 
 /// The op's own widened handler index: (kind, op, type) collapsed into one

@@ -90,13 +90,23 @@ BlockExecutor::BlockExecutor(const arch::DeviceSpec& spec,
   arena_.local.assign(static_cast<std::size_t>(fn.local_bytes) * threads, 0);
 
   const int wsz = spec.warp_size;
+  GPC_CHECK(wsz <= kImmRowLanes, "warp wider than an immediate row");
   if (static_cast<int>(arena_.all_lanes.size()) < wsz) {
     arena_.all_lanes.resize(wsz);
     for (int l = 0; l < wsz; ++l) arena_.all_lanes[l] = l;
   }
+  // Every per-lane scratch row is sized here, once per block: no
+  // instruction resizes one.
   arena_.mask.resize(wsz);
   arena_.exec.resize(wsz);
-  arena_.splat.resize(static_cast<std::size_t>(wsz) * 3);
+  arena_.addr.resize(wsz);
+  arena_.val.resize(wsz);
+  arena_.seg.resize(wsz);
+  const std::size_t bank_words =
+      2 * static_cast<std::size_t>(std::max(spec.shared_banks, 0));
+  if (arena_.bank_word.size() < bank_words) {
+    arena_.bank_word.assign(bank_words, 0);
+  }
 
   budget_ = config.step_budget > 0 ? config.step_budget : kStepBudget;
   if (sanitizer != nullptr) {
@@ -239,8 +249,7 @@ void BlockExecutor::account_global(const std::uint64_t* addrs, int n,
   stats_.mem_issues++;
   stats_.useful_global_bytes += static_cast<std::uint64_t>(n) * size;
   const int seg = spec_.dram_segment_bytes;
-  std::vector<std::uint64_t>& segs = arena_.seg;
-  segs.resize(n);
+  std::uint64_t* const segs = arena_.seg.data();
   // Every real spec uses a power-of-two segment: a shift instead of one
   // 64-bit divide per lane per memory instruction.
   if ((seg & (seg - 1)) == 0) {
@@ -270,7 +279,7 @@ void BlockExecutor::account_global(const std::uint64_t* addrs, int n,
         segs[j + 1] = v;
       }
     } else {
-      std::sort(segs.begin(), segs.end());
+      std::sort(segs, segs + n);
     }
   }
   std::uint64_t last = 0;
@@ -307,32 +316,39 @@ void BlockExecutor::account_shared(const std::uint64_t* addrs, int n) {
   // per-bank counters replace the old sort+unique (which dominated the
   // convergent-MxM profile: two shared loads per inner-loop iteration).
   ExecArena& a = arena_;
-  // Fast path: prove degree == 1 with one bitmask pass. A warp access is
-  // conflict-free exactly when no bank holds two DISTINCT words, which a
-  // 64-bit used-bank mask plus one remembered word per bank decides in a
-  // handful of ALU ops per lane — no hashing. Tuned kernels (broadcast rows,
-  // stride-1 word runs) take this path on essentially every access; the
-  // first genuine conflict falls through to the exact stamped count below.
+  // First prove degree <= 2 with one bitmask pass, no hashing. A bank
+  // holds at most two DISTINCT words exactly when, scanning the lanes, no
+  // word misses both remembered words of its bank; a 64-bit used-bank mask
+  // per remembered word decides it in a handful of ALU ops per lane.
+  // On every modelled device a warp is at most twice as wide as its bank
+  // count, so broadcasts, runs of consecutive words, padded tiles and
+  // permutations all end here (GT200's stride-1 access is degree 2: 32
+  // lanes over 16 banks); three or more distinct words in one bank fall
+  // through to the exact stamped count below.
   if (banks <= 64 && (banks & (banks - 1)) == 0) {
-    if (static_cast<int>(a.bank_word.size()) < banks) {
-      a.bank_word.assign(banks, 0);
-    }
     const std::uint64_t bmask = static_cast<std::uint64_t>(banks) - 1;
-    std::uint64_t* bw = a.bank_word.data();
-    std::uint64_t used = 0;
+    std::uint64_t* const w1 = a.bank_word.data();
+    std::uint64_t* const w2 = w1 + banks;
+    std::uint64_t used1 = 0, used2 = 0;
     int i = 0;
     for (; i < n; ++i) {
       const std::uint64_t wd = addrs[i] >> 2;
-      const std::uint64_t bit = 1ull << (wd & bmask);
-      if (!(used & bit)) {
-        used |= bit;
-        bw[wd & bmask] = wd;
-      } else if (bw[wd & bmask] != wd) {
-        break;  // two distinct words in one bank: real conflict
+      const std::uint64_t b = wd & bmask;
+      const std::uint64_t bit = 1ull << b;
+      if (!(used1 & bit)) {
+        used1 |= bit;
+        w1[b] = wd;
+      } else if (w1[b] == wd) {
+        continue;  // broadcast
+      } else if (!(used2 & bit)) {
+        used2 |= bit;
+        w2[b] = wd;
+      } else if (w2[b] != wd) {
+        break;  // a third distinct word in one bank
       }
     }
     if (i == n) {
-      stats_.shared_cycles += 1;
+      stats_.shared_cycles += used2 != 0 ? 2 : 1;
       return;
     }
   }
@@ -414,22 +430,17 @@ void BlockExecutor::exec_memory(Warp& w, const MicroOp& m, const int* lanes,
   };
 
   switch (m.kind) {
-    case XKind::LdParam: {
-      const int idx = m.aux;
-      GPC_CHECK(idx >= 0 && idx < static_cast<int>(args_.size()));
-      for (int i = 0; i < n; ++i) dst_slot(lanes[i]) = args_[idx].raw;
-      stats_.alu_issues++;  // parameter loads are register-file traffic
+    case XKind::LdParam:
+      ld_param(w, m, lanes, n);
       return;
-    }
     case XKind::MemGlobal: {
-      std::vector<std::uint64_t>& addrs = arena_.addr;
+      std::uint64_t* const addrs = arena_.addr.data();
       if (m.op == Opcode::Ld) {
-        addrs.resize(n);
         for (int i = 0; i < n; ++i) {
           addrs[i] = fetch(m.a, regs, width, lanes[i]);
         }
         if (bsan_) [[unlikely]] {
-          bsan_->global_batch(mem_, addrs.data(), n, size,
+          bsan_->global_batch(mem_, addrs, n, size,
                               /*is_store=*/false, mop_pc(m));
         }
         // All lanes read the pre-instruction memory state.
@@ -440,32 +451,29 @@ void BlockExecutor::exec_memory(Warp& w, const MicroOp& m, const int* lanes,
           }
           dst_slot(lanes[i]) = raw;
         }
-        account_global(addrs.data(), n, size, /*is_read=*/true);
+        account_global(addrs, n, size, /*is_read=*/true);
       } else if (m.op == Opcode::St) {
-        std::vector<std::uint64_t>& vals = arena_.val;
-        addrs.resize(n);
-        vals.resize(n);
+        std::uint64_t* const vals = arena_.val.data();
         for (int i = 0; i < n; ++i) {
           addrs[i] = fetch(m.a, regs, width, lanes[i]);
           vals[i] = fetch(m.b, regs, width, lanes[i]);
         }
         if (bsan_) [[unlikely]] {
-          bsan_->global_batch(mem_, addrs.data(), n, size,
+          bsan_->global_batch(mem_, addrs, n, size,
                               /*is_store=*/true, mop_pc(m));
         }
         for (int i = 0; i < n; ++i) {
           mem_.store(addrs[i], vals[i], size);
         }
-        account_global(addrs.data(), n, size, /*is_read=*/false);
+        account_global(addrs, n, size, /*is_read=*/false);
       } else {  // atomics: serialised, both read and write DRAM
         if (baiwc_) [[unlikely]] {
           // account_global never sees atomics; collect the lane addresses
           // here (the re-fetch below is side-effect-free).
-          addrs.resize(n);
           for (int i = 0; i < n; ++i) {
             addrs[i] = fetch(m.a, regs, width, lanes[i]);
           }
-          baiwc_->global_access(addrs.data(), n, size);
+          baiwc_->global_access(addrs, n, size);
         }
         stats_.mem_issues++;
         for (int i = 0; i < n; ++i) {
@@ -494,8 +502,7 @@ void BlockExecutor::exec_memory(Warp& w, const MicroOp& m, const int* lanes,
       return;
     }
     case XKind::MemShared: {
-      std::vector<std::uint64_t>& addrs = arena_.addr;
-      addrs.resize(n);
+      std::uint64_t* const addrs = arena_.addr.data();
       for (int i = 0; i < n; ++i) {
         addrs[i] = fetch(m.a, regs, width, lanes[i]);
       }
@@ -503,15 +510,16 @@ void BlockExecutor::exec_memory(Warp& w, const MicroOp& m, const int* lanes,
       // is a hardware divide per lane on the hottest instruction there is).
       const std::uint64_t align_mask = static_cast<std::uint64_t>(size) - 1;
       const std::uint64_t limit = arena_.shared.size();
-      for (std::uint64_t a : addrs) {
-        if (a + size > limit || (a & align_mask) != 0) {
+      for (int i = 0; i < n; ++i) {
+        const std::uint64_t a = addrs[i];
+        if (past_limit(a, size, limit) || (a & align_mask) != 0) {
           throw DeviceFault("shared access out of bounds in " + fn_.name +
                             ": offset " + std::to_string(a));
         }
       }
       if (m.op == Opcode::Ld) {
         if (bsan_) [[unlikely]] {
-          bsan_->shared_load(addrs.data(), lanes, n, w.base, size, mop_pc(m));
+          bsan_->shared_load(addrs, lanes, n, w.base, size, mop_pc(m));
         }
         const std::uint8_t* shared = arena_.shared.data();
         for (int i = 0; i < n; ++i) {
@@ -524,22 +532,20 @@ void BlockExecutor::exec_memory(Warp& w, const MicroOp& m, const int* lanes,
         }
       } else if (m.op == Opcode::St) {
         // Lockstep semantics: gather all values first, then write.
-        std::vector<std::uint64_t>& vals = arena_.val;
-        vals.resize(n);
+        std::uint64_t* const vals = arena_.val.data();
         for (int i = 0; i < n; ++i) {
           vals[i] = fetch(m.b, regs, width, lanes[i]);
         }
         if (bsan_) [[unlikely]] {
-          bsan_->shared_store(addrs.data(), vals.data(), lanes, n, w.base,
-                              size, mop_pc(m));
+          bsan_->shared_store(addrs, vals, lanes, n, w.base, size,
+                              mop_pc(m));
         }
         for (int i = 0; i < n; ++i) {
           std::memcpy(arena_.shared.data() + addrs[i], &vals[i], size);
         }
       } else {  // shared atomics: serialised by hardware, hence correct
         if (bsan_) [[unlikely]] {
-          bsan_->shared_atomic(addrs.data(), lanes, n, w.base, size,
-                               mop_pc(m));
+          bsan_->shared_atomic(addrs, lanes, n, w.base, size, mop_pc(m));
         }
         for (int i = 0; i < n; ++i) {
           const std::uint64_t v = fetch(m.b, regs, width, lanes[i]);
@@ -561,7 +567,7 @@ void BlockExecutor::exec_memory(Warp& w, const MicroOp& m, const int* lanes,
           stats_.atomic_serial_ops++;
         }
       }
-      account_shared(addrs.data(), n);
+      account_shared(addrs, n);
       return;
     }
     case XKind::MemLocal: {
@@ -570,7 +576,7 @@ void BlockExecutor::exec_memory(Warp& w, const MicroOp& m, const int* lanes,
       for (int i = 0; i < n; ++i) {
         const int l = lanes[i];
         const std::uint64_t off = fetch(m.a, regs, width, l);
-        if (off + size > static_cast<std::uint64_t>(fn_.local_bytes)) {
+        if (past_limit(off, size, fn_.local_bytes)) {
           throw DeviceFault("local access out of bounds in " + fn_.name);
         }
         std::uint8_t* p =
@@ -590,13 +596,12 @@ void BlockExecutor::exec_memory(Warp& w, const MicroOp& m, const int* lanes,
       return;
     }
     case XKind::MemConst: {
-      std::vector<std::uint64_t>& addrs = arena_.addr;
-      addrs.resize(n);
+      std::uint64_t* const addrs = arena_.addr.data();
       for (int i = 0; i < n; ++i) {
         addrs[i] = fetch(m.a, regs, width, lanes[i]);
       }
       for (int i = 0; i < n; ++i) {
-        if (addrs[i] + size > fn_.const_data.size()) {
+        if (past_limit(addrs[i], size, fn_.const_data.size())) {
           throw DeviceFault("constant access out of bounds in " + fn_.name);
         }
         std::uint64_t raw = 0;
@@ -606,7 +611,7 @@ void BlockExecutor::exec_memory(Warp& w, const MicroOp& m, const int* lanes,
         }
         dst_slot(lanes[i]) = raw;
       }
-      account_const(addrs.data(), n);
+      account_const(addrs, n);
       return;
     }
     case XKind::MemTex: {
@@ -615,8 +620,7 @@ void BlockExecutor::exec_memory(Warp& w, const MicroOp& m, const int* lanes,
       const TexBinding& tb = textures_[m.aux];
       stats_.mem_issues++;
       stats_.tex_requests += n;
-      std::vector<std::uint64_t>& taddrs = arena_.addr;
-      if (baiwc_) [[unlikely]] taddrs.resize(n);
+      std::uint64_t* const taddrs = arena_.addr.data();
       for (int i = 0; i < n; ++i) {
         const int l = lanes[i];
         const std::int64_t idx =
@@ -639,7 +643,7 @@ void BlockExecutor::exec_memory(Warp& w, const MicroOp& m, const int* lanes,
           stats_.dram_transactions++;
         }
       }
-      if (baiwc_) [[unlikely]] baiwc_->global_access(taddrs.data(), n, size);
+      if (baiwc_) [[unlikely]] baiwc_->global_access(taddrs, n, size);
       return;
     }
     default:
@@ -664,11 +668,10 @@ void BlockExecutor::exec_compute(Warp& w, const MicroOp& m, const int* lanes,
     }
     return;
   }
-  std::uint64_t* const sp0 = arena_.splat.data();
-  const std::uint64_t* a = lane_src(m.a, regs, width, sp0);
-  const std::uint64_t* b = lane_src(m.b, regs, width, sp0 + spec_.warp_size);
-  const std::uint64_t* c =
-      lane_src(m.c, regs, width, sp0 + 2 * spec_.warp_size);
+  const std::uint64_t* const imm = prog_.imm_rows.data();
+  const std::uint64_t* a = lane_src(m.a, regs, width, imm);
+  const std::uint64_t* b = lane_src(m.b, regs, width, imm);
+  const std::uint64_t* c = lane_src(m.c, regs, width, imm);
   const auto divz = [&] {
     note_div_by_zero(m);
     return 0;

@@ -45,6 +45,7 @@
 
 #include "aiwc/aiwc.h"
 #include "arch/device_spec.h"
+#include "common/error.h"
 #include "ir/function.h"
 #include "sim/cache.h"
 #include "sim/decode.h"
@@ -124,15 +125,14 @@ void set_convergent_fast_path(bool enabled);
 bool convergent_fast_path_enabled();
 
 /// Returns a stride-1 pointer to an operand's per-lane values: the register
-/// row itself, or the immediate broadcast into `splat_row` (the full warp
-/// width, since lane lists index it by lane id).
-inline const std::uint64_t* lane_src(const MOp& o, std::uint64_t* regs,
-                                     int width, std::uint64_t* splat_row) {
-  if (o.reg >= 0) {
-    return regs + static_cast<std::size_t>(o.reg) * width;
-  }
-  for (int i = 0; i < width; ++i) splat_row[i] = o.imm;
-  return splat_row;
+/// row itself, or the immediate's read-only row of DecodedProgram::imm_rows
+/// (kImmRowLanes wide, so lane lists may index it by lane id).
+inline const std::uint64_t* lane_src(const MOp& o, const std::uint64_t* regs,
+                                     int width,
+                                     const std::uint64_t* imm_rows) {
+  return o.reg >= 0
+             ? regs + static_cast<std::size_t>(o.reg) * width
+             : imm_rows + static_cast<std::size_t>(o.row) * kImmRowLanes;
 }
 
 /// One divergent-warp PC cohort: the set of lanes (bitmask over lane ids)
@@ -163,14 +163,10 @@ struct ExecArena {
   std::vector<int> exec;             // guard-filtered lane list
   std::vector<Cohort> cohorts;       // cohort-scheduler work list
   std::vector<int> all_lanes;        // identity 0..warp_size-1
+  // Per-lane memory scratch, sized to warp_size once per block.
   std::vector<std::uint64_t> addr, val, seg;
   CacheModel tex_cache;
   CacheModel l1_cache;
-
-  // Immediate-operand splat buffers: an immediate operand is broadcast into
-  // one of these contiguous [width] rows so every lane loop reads operands
-  // through stride-1 pointers.
-  std::vector<std::uint64_t> splat;  // 3 rows of warp_size
 
   // O(n) stamped scratch for account_shared / account_const: open-address
   // dedup keyed by epoch stamps (no clearing between instructions) plus
@@ -180,7 +176,8 @@ struct ExecArena {
   std::vector<std::uint64_t> dedup_stamp;
   std::vector<std::uint64_t> bank_stamp;
   std::vector<int> bank_count;
-  std::vector<std::uint64_t> bank_word;  // conflict-free fast-path scratch
+  // Degree-2 proof scratch: two remembered words per bank (2 * banks).
+  std::vector<std::uint64_t> bank_word;
   std::uint64_t dedup_epoch = 0;
 };
 
@@ -260,13 +257,25 @@ class BlockExecutor {
   // cannot make further progress right now (waiting or finished).
   bool step(Warp& w);
 
-  // Inline: this is the single hottest call on the divergent path (every
-  // branch and guarded op evaluates it per lane).
+  // The oracle's per-lane guard test; the production engine counts the
+  // predicate row instead (interp_threaded.cpp guard_count).
   bool guard_pass(const Warp& w, const MicroOp& m, int lane) const {
     if (m.guard < 0) return true;
     const bool p =
         (w.regs[static_cast<std::size_t>(m.guard) * w.width + lane] & 1) != 0;
     return m.guard_negated ? !p : p;
+  }
+
+  // Parameter load: broadcasts one kernel argument. Priced as one ALU
+  // issue (register-file traffic). Inline, since every warp issues one per
+  // parameter it reads.
+  void ld_param(const Warp& w, const MicroOp& m, const int* lanes, int n) {
+    GPC_CHECK(m.aux >= 0 && m.aux < static_cast<int>(args_.size()));
+    std::uint64_t* const d =
+        w.regs + static_cast<std::size_t>(m.dst) * w.width;
+    const std::uint64_t v = args_[m.aux].raw;
+    for (int i = 0; i < n; ++i) d[lanes[i]] = v;
+    stats_.alu_issues++;
   }
 
   // Generic per-lane-list execution of one micro-op: the oracle runs every

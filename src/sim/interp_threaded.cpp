@@ -16,16 +16,21 @@
 // Two instantiations exist:
 //   * engine_goto<false>, the convergent fast path: all `width` lanes are
 //     live at one pc, and handler loops run over the contiguous lane range
-//     [0, width) with stride-1 operand pointers (immediates are broadcast
-//     into ExecArena::splat rows), the shape the compiler auto-vectorizes. A
-//     partially taken branch materialises per-lane pcs and hands the warp to
-//     the cohort scheduler.
+//     [0, width) with stride-1 operand pointers (an immediate reads its
+//     read-only DecodedProgram::imm_rows row, built once at decode), the
+//     shape the compiler auto-vectorizes. A partially taken branch
+//     materialises per-lane pcs and hands the warp to the cohort scheduler.
 //   * engine_goto<true>, one divergent cohort (interp.cpp run_divergent,
 //     DESIGN.md §15): lanes come from the cohort's sorted lane list, the run
 //     stops at CohortRun::limit (the next cohort's pc) instead of running to
 //     a control event, and branches/barriers/exits return a CohortStop to
 //     the reconvergence-stack scheduler instead of materialising per-lane
 //     pcs.
+//
+// Per-instruction fixed costs are kept off the lane loops: guards are a
+// count over the predicate row (a lane list is built only when some lanes
+// fail), and shared and global ld/st run specialised three-pass handlers
+// over arena scratch sized once per block.
 
 #include "sim/interp.h"
 
@@ -57,15 +62,14 @@ namespace {
 template <bool kList, class Row0, class Row1, Type kT, class DivZ>
 inline void fused_pair(const DivZ& divz, const MicroOp& c0,
                        const MicroOp& c1, std::uint64_t* regs, int width,
-                       const int* lanes, int n, std::uint64_t* s0,
-                       std::uint64_t* s1, std::uint64_t* s2) {
-  const std::uint64_t* pa = lane_src(c0.a, regs, width, s0);
-  const std::uint64_t* pb = lane_src(c0.b, regs, width, s1);
+                       const int* lanes, int n, const std::uint64_t* imm) {
+  const std::uint64_t* pa = lane_src(c0.a, regs, width, imm);
+  const std::uint64_t* pb = lane_src(c0.b, regs, width, imm);
   const bool chain_is_a = c1.a.reg == c0.dst;
   const MOp& oth = chain_is_a ? c1.b : c1.a;
   const bool ochain = oth.reg == c0.dst;
   const std::uint64_t* po =
-      ochain ? nullptr : lane_src(oth, regs, width, s2);
+      ochain ? nullptr : lane_src(oth, regs, width, imm);
   std::uint64_t* pd0 = regs + static_cast<std::size_t>(c0.dst) * width;
   std::uint64_t* pd1 = regs + static_cast<std::size_t>(c1.dst) * width;
   for (int i = 0; i < n; ++i) {
@@ -85,11 +89,11 @@ inline void fused_pair(const DivZ& divz, const MicroOp& c0,
 template <bool kList, Type kSrc, class DivZ>
 inline void fused_addr_gen(const DivZ& divz, const MicroOp* c,
                            std::uint64_t* regs, int width, const int* lanes,
-                           int n, std::uint64_t* s0, std::uint64_t* s1) {
+                           int n, const std::uint64_t* imm) {
   const cvt::II widen{kSrc, Type::U64};
   const std::uint64_t mask = c[1].b.imm;
   const std::uint64_t sh = c[2].b.imm;
-  const std::uint64_t* psrc = lane_src(c[0].a, regs, width, s0);
+  const std::uint64_t* psrc = lane_src(c[0].a, regs, width, imm);
   const MOp& oth = (c[3].a.reg == c[2].dst) ? c[3].b : c[3].a;
   int osel = 0;
   const std::uint64_t* po = nullptr;
@@ -100,7 +104,7 @@ inline void fused_addr_gen(const DivZ& divz, const MicroOp* c,
   } else if (oth.reg == c[0].dst) {
     osel = 1;
   } else {
-    po = lane_src(oth, regs, width, s1);
+    po = lane_src(oth, regs, width, imm);
   }
   std::uint64_t* pd0 = regs + static_cast<std::size_t>(c[0].dst) * width;
   std::uint64_t* pd1 = regs + static_cast<std::size_t>(c[1].dst) * width;
@@ -118,6 +122,18 @@ inline void fused_addr_gen(const DivZ& divz, const MicroOp* c,
     pd2[l] = v2;
     pd3[l] = iop::Add::lane<Type::U64>(divz, v2, vo, 0);
   }
+}
+
+/// Number of lanes whose guard passes: bit 0 of the predicate row, flipped
+/// by `negated`, summed over the lanes — a branch-free, vectorizable count.
+template <bool kList>
+inline int guard_count(const std::uint64_t* pred, std::uint64_t negated,
+                       const int* lanes, int n) {
+  int pass = 0;
+  for (int i = 0; i < n; ++i) {
+    pass += static_cast<int>((pred[kList ? lanes[i] : i] ^ negated) & 1);
+  }
+  return pass;
 }
 
 }  // namespace
@@ -166,9 +182,9 @@ inline void fused_addr_gen(const DivZ& divz, const MicroOp* c,
     ++pc;                                                                  \
     GPC_DISPATCH();                                                        \
   }
-#define GPC_A lane_src(m->a, regs, width, sp0)
-#define GPC_B lane_src(m->b, regs, width, sp1)
-#define GPC_C lane_src(m->c, regs, width, sp2)
+#define GPC_A lane_src(m->a, regs, width, imm)
+#define GPC_B lane_src(m->b, regs, width, imm)
+#define GPC_C lane_src(m->c, regs, width, imm)
 #define GPC_ROW(Row, T)                                                    \
   GPC_COMPUTE((row_lanes<kCohort, Row, T>(divz, all, n, d, GPC_A, GPC_B,   \
                                           GPC_C)))
@@ -189,20 +205,6 @@ BlockExecutor::CohortStop BlockExecutor::engine_goto(Warp& w, CohortRun& run) {
 #undef GPC_X
   };
 
-  // Shared-memory conflict accounting, inlined for the fast path below:
-  // power-of-two bank counts (every GPU spec) get the bitmask degree-1
-  // proof without the account_shared call; mask 0 means "call the slow
-  // path" (single-bank CPU devices, exotic bank counts).
-  const int sbanks = spec_.shared_banks;
-  const std::uint64_t sbank_mask =
-      (sbanks > 1 && sbanks <= 64 && (sbanks & (sbanks - 1)) == 0)
-          ? static_cast<std::uint64_t>(sbanks) - 1
-          : 0;
-  if (sbank_mask != 0 &&
-      arena_.bank_word.size() < static_cast<std::size_t>(sbanks)) {
-    arena_.bank_word.assign(sbanks, 0);
-  }
-
   const MicroOp* const ops = prog_.ops.data();
   const int nops = static_cast<int>(prog_.ops.size());
   // In cohort mode the active lane set is the scheduler's (sorted,
@@ -213,9 +215,8 @@ BlockExecutor::CohortStop BlockExecutor::engine_goto(Warp& w, CohortRun& run) {
   const int* const all = kCohort ? run.lanes : arena_.all_lanes.data();
   int* const exec = arena_.exec.data();
   std::uint64_t* const regs = w.regs;
-  std::uint64_t* const sp0 = arena_.splat.data();
-  std::uint64_t* const sp1 = sp0 + spec_.warp_size;
-  std::uint64_t* const sp2 = sp1 + spec_.warp_size;
+  const std::uint64_t* const imm = prog_.imm_rows.data();
+  std::uint64_t* const ad = arena_.addr.data();  // memory handlers' addresses
   int pc = kCohort ? run.pc : w.cpc;
   const MicroOp* m = nullptr;
   // Hoisted: the dispatch macro tests this per instruction; a local lets the
@@ -266,6 +267,9 @@ L_Bra : {
     pc = m->target;
     GPC_DISPATCH();
   }
+  const std::uint64_t* const pred =
+      regs + static_cast<std::size_t>(m->guard) * width;
+  const std::uint64_t neg = m->guard_negated;
   int taken = 0;
   std::uint64_t tmask = 0;
   if constexpr (kCohort) {
@@ -273,12 +277,12 @@ L_Bra : {
     // common outcome on this path, unlike the converged engine).
     for (int i = 0; i < n; ++i) {
       const int l = all[i];
-      const bool t = guard_pass(w, *m, l);
-      tmask |= static_cast<std::uint64_t>(t) << l;
-      taken += t;
+      const std::uint64_t t = (pred[l] ^ neg) & 1;
+      tmask |= t << l;
+      taken += static_cast<int>(t);
     }
   } else {
-    for (int l = 0; l < n; ++l) taken += guard_pass(w, *m, l);
+    taken = guard_count<false>(pred, neg, all, n);
   }
   if (baiwc) [[unlikely]] baiwc->branch(pc, taken, n);
   if (taken == n) {
@@ -301,7 +305,7 @@ L_Bra : {
   } else {
     // The warp splits: hand the per-lane PCs to the cohort scheduler.
     for (int l = 0; l < n; ++l) {
-      w.pc[l] = guard_pass(w, *m, l) ? m->target : pc + 1;
+      w.pc[l] = ((pred[l] ^ neg) & 1) != 0 ? m->target : pc + 1;
     }
     w.converged = false;
     return CohortStop::Split;
@@ -311,11 +315,10 @@ L_Bra : {
   // ---- Guarded non-control ops: generic filter path ----------------------
 
 L_guarded : {
-  int nexec = 0;
-  for (int i = 0; i < n; ++i) {
-    const int l = kCohort ? all[i] : i;
-    if (guard_pass(w, *m, l)) exec[nexec++] = l;
-  }
+  const std::uint64_t* const pred =
+      regs + static_cast<std::size_t>(m->guard) * width;
+  const std::uint64_t neg = m->guard_negated;
+  const int nexec = guard_count<kCohort>(pred, neg, all, n);
   if (nexec == n) {
     // Every lane passes — the dominant case for boundary-guard predication
     // (interior blocks of St2D/Sobel never clip). The guard only filters
@@ -325,6 +328,11 @@ L_guarded : {
     goto* table[static_cast<std::uint16_t>(m->xop)];
   }
   if (nexec > 0) {
+    int k = 0;
+    for (int i = 0; i < n; ++i) {
+      const int l = kCohort ? all[i] : i;
+      if (((pred[l] ^ neg) & 1) != 0) exec[k++] = l;
+    }
     if (m->kind <= XKind::MemTex) {
       exec_memory(w, *m, exec, nexec);
     } else {
@@ -337,15 +345,63 @@ L_guarded : {
   GPC_DISPATCH();
 }
 
-  // ---- Memory (all state spaces share the batched implementation) --------
+  // ---- Memory (other state spaces share the batched implementation) -----
 
 L_LdParam:
-L_MemGlobal:
+  ld_param(w, *m, all, n);
+  ++pc;
+  GPC_DISPATCH();
+
 L_MemLocal:
 L_MemTex:
   exec_memory(w, *m, all, n);
   ++pc;
   GPC_DISPATCH();
+
+L_MemGlobal : {
+  // Specialised path for plain global traffic (every benchmark's inputs
+  // and outputs; the generic exec_memory re-fetches each operand per lane):
+  // unguarded or all-pass 4- and 8-byte ld/st with no sanitizer and no
+  // AIWC collector runs in three passes — gather the addresses, one batch
+  // check that all of them are aligned and below the bump pointer, then
+  // relaxed atomic loads or stores and the coalescing account. A lane that
+  // fails the check sends the whole instruction to exec_memory, which
+  // throws the exact out-of-bounds / misaligned fault or raises the dirty
+  // extent over a legal store past the bump pointer. Atomics always take
+  // exec_memory.
+  const MicroOp& mm = *m;
+  const int size = mm.msize;
+  if (!bsan_ && !baiwc && (size == 4 || size == 8) &&
+      (mm.op == ir::Opcode::St ||
+       (mm.op == ir::Opcode::Ld && mm.dst >= 0))) {
+    const std::uint64_t* const pa = lane_src(mm.a, regs, width, imm);
+    for (int i = 0; i < n; ++i) ad[i] = pa[kCohort ? all[i] : i];
+    if (mem_.all_below_top(ad, n, size)) [[likely]] {
+      const bool is_read = mm.op == ir::Opcode::Ld;
+      if (is_read) {
+        std::uint64_t* const pd =
+            regs + static_cast<std::size_t>(mm.dst) * width;
+        const bool s32 = mm.type == Type::S32;
+        for (int i = 0; i < n; ++i) {
+          std::uint64_t raw = mem_.load_unchecked(ad[i], size);
+          if (s32) raw = enc_int(Type::S32, static_cast<std::int32_t>(raw));
+          pd[kCohort ? all[i] : i] = raw;
+        }
+      } else {
+        const std::uint64_t* const pb = lane_src(mm.b, regs, width, imm);
+        for (int i = 0; i < n; ++i) {
+          mem_.store_unchecked(ad[i], pb[kCohort ? all[i] : i], size);
+        }
+      }
+      account_global(ad, n, size, is_read);
+      ++pc;
+      GPC_DISPATCH();
+    }
+  }
+  exec_memory(w, mm, all, n);
+  ++pc;
+  GPC_DISPATCH();
+}
 
 L_MemConst : {
   // Immediate constant-bank load: the OpenCL front end materialises every
@@ -356,7 +412,7 @@ L_MemConst : {
   const MicroOp& mm = *m;
   if (mm.op == ir::Opcode::Ld && mm.dst >= 0 && mm.a.reg < 0) {
     const std::uint64_t a = mm.a.imm;
-    if (a + mm.msize > fn_.const_data.size()) [[unlikely]] {
+    if (past_limit(a, mm.msize, fn_.const_data.size())) [[unlikely]] {
       exec_memory(w, mm, all, n);  // throws the exact fault message
     }
     std::uint64_t raw = 0;
@@ -390,16 +446,16 @@ L_MemShared : {
   if (!bsan_ && !baiwc && mm.msize == 4 &&
       (mm.op == ir::Opcode::St ||
        (mm.op == ir::Opcode::Ld && mm.dst >= 0))) {
-    arena_.addr.resize(static_cast<std::size_t>(n));
-    std::uint64_t* const ad = arena_.addr.data();
-    const std::uint64_t* pa = lane_src(mm.a, regs, width, sp0);
+    const std::uint64_t* pa = lane_src(mm.a, regs, width, imm);
+    // Against limit - 4, not a + 4 > limit, which wraps near 2^64.
     const std::uint64_t limit = arena_.shared.size();
-    std::uint64_t bad = 0;
+    const std::uint64_t last = limit - 4;
+    std::uint64_t bad = static_cast<std::uint64_t>(limit < 4);
     for (int i = 0; i < n; ++i) {
       const int l = kCohort ? all[i] : i;
       const std::uint64_t a = pa[l];
       ad[i] = a;
-      bad |= static_cast<std::uint64_t>(a + 4 > limit) | (a & 3);
+      bad |= static_cast<std::uint64_t>(a > last) | (a & 3);
     }
     if (bad != 0) [[unlikely]] {
       exec_memory(w, mm, all, n);  // throws with the faulting offset
@@ -424,37 +480,14 @@ L_MemShared : {
         }
       }
     } else {
-      const std::uint64_t* pb = lane_src(mm.b, regs, width, sp1);
+      const std::uint64_t* pb = lane_src(mm.b, regs, width, imm);
       for (int i = 0; i < n; ++i) {
         const int l = kCohort ? all[i] : i;
         const std::uint32_t v = static_cast<std::uint32_t>(pb[l]);
         std::memcpy(sh + ad[i], &v, 4);
       }
     }
-    if (sbank_mask != 0) {
-      std::uint64_t* const bw = arena_.bank_word.data();
-      std::uint64_t used = 0;
-      bool clean = true;
-      for (int i = 0; i < n; ++i) {
-        const std::uint64_t wd = ad[i] >> 2;
-        const std::uint64_t b = wd & sbank_mask;
-        const std::uint64_t bit = 1ull << b;
-        if ((used & bit) == 0) {
-          used |= bit;
-          bw[b] = wd;
-        } else if (bw[b] != wd) {
-          clean = false;  // bank conflict: take the exact stamped count
-          break;
-        }
-      }
-      if (clean) {
-        stats_.shared_cycles += 1;
-      } else {
-        account_shared(ad, n);
-      }
-    } else {
-      account_shared(ad, n);
-    }
+    account_shared(ad, n);
     ++pc;
     GPC_DISPATCH();
   }
@@ -560,10 +593,10 @@ L_FusedAddrGen : {
   stats_.fused_exec[static_cast<int>(FusedPattern::AddrGen)]++;
   if (c0.src_type == Type::S32) {
     fused_addr_gen<kCohort, Type::S32>(divz, ops + pc, regs, width, all, n,
-                                       sp0, sp1);
+                                       imm);
   } else {
     fused_addr_gen<kCohort, Type::U32>(divz, ops + pc, regs, width, all, n,
-                                       sp0, sp1);
+                                       imm);
   }
   pc += 4;
   GPC_DISPATCH();
@@ -583,7 +616,7 @@ L_FusedShlAdd : {
 #define GPC_X(T)                                                           \
   case Type::T:                                                            \
     fused_pair<kCohort, iop::Shl, iop::Add, Type::T>(                      \
-        divz, c0, c1, regs, width, all, n, sp0, sp1, sp2);                 \
+        divz, c0, c1, regs, width, all, n, imm);                           \
     break;
     GPC_X(S32) GPC_X(U32) default : GPC_X(U64)
 #undef GPC_X
@@ -606,7 +639,7 @@ L_FusedMulAdd : {
 #define GPC_X(ns, T)                                                       \
   case Type::T:                                                            \
     fused_pair<kCohort, ns::Mul, ns::Add, Type::T>(                        \
-        divz, c0, c1, regs, width, all, n, sp0, sp1, sp2);                 \
+        divz, c0, c1, regs, width, all, n, imm);                           \
     break;
     GPC_X(fop, F32) GPC_X(fop, F64) GPC_X(iop, S32) GPC_X(iop, U32)
     default : GPC_X(iop, U64)
@@ -629,8 +662,8 @@ L_FusedSetpBra : {
   stats_.fused_groups++;
   stats_.fused_exec[static_cast<int>(FusedPattern::SetpBra)]++;
   std::uint64_t* const pd = regs + static_cast<std::size_t>(c0.dst) * width;
-  const std::uint64_t* const pa = lane_src(c0.a, regs, width, sp0);
-  const std::uint64_t* const pb = lane_src(c0.b, regs, width, sp1);
+  const std::uint64_t* const pa = lane_src(c0.a, regs, width, imm);
+  const std::uint64_t* const pb = lane_src(c0.b, regs, width, imm);
   switch (c0.type) {
 #define GPC_X(T)                                                           \
   case Type::T:                                                            \
@@ -639,13 +672,8 @@ L_FusedSetpBra : {
     GPC_X(F32) GPC_X(F64) GPC_X(S32) GPC_X(U32) default : GPC_X(U64)
 #undef GPC_X
   }
-  const bool neg = c1.guard_negated;
-  int taken = 0;
-  for (int i = 0; i < n; ++i) {
-    const int l = kCohort ? all[i] : i;
-    const bool p = (pd[l] & 1) != 0;
-    taken += (neg ? !p : p) ? 1 : 0;
-  }
+  const std::uint64_t neg = c1.guard_negated;
+  const int taken = guard_count<kCohort>(pd, neg, all, n);
   if (baiwc) [[unlikely]] baiwc->branch(pc + 1, taken, n);
   if (taken == n) {
     pc = c1.target;
@@ -658,8 +686,7 @@ L_FusedSetpBra : {
   if constexpr (kCohort) {
     std::uint64_t tmask = 0;
     for (int i = 0; i < n; ++i) {
-      const bool p = (pd[all[i]] & 1) != 0;
-      if (neg ? !p : p) tmask |= 1ull << all[i];
+      tmask |= ((pd[all[i]] ^ neg) & 1) << all[i];
     }
     run.bra_pc = pc + 1;  // the Bra component's PC, for the rpc table
     run.target = c1.target;
@@ -668,8 +695,7 @@ L_FusedSetpBra : {
     return CohortStop::Split;
   } else {
     for (int l = 0; l < n; ++l) {
-      const bool p = (pd[l] & 1) != 0;
-      w.pc[l] = (neg ? !p : p) ? c1.target : pc + 2;
+      w.pc[l] = ((pd[l] ^ neg) & 1) != 0 ? c1.target : pc + 2;
     }
     w.converged = false;
     return CohortStop::Split;

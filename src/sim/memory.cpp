@@ -99,7 +99,8 @@ void DeviceMemory::reset() {
 }
 
 void DeviceMemory::check_slow(std::uint64_t addr, int size) const {
-  if (addr + size > capacity_ || addr < 256) {
+  if (past_limit(addr, static_cast<std::uint64_t>(size), capacity_) ||
+      addr < 256) {
     throw DeviceFault("global access out of bounds: addr=" +
                       std::to_string(addr) + " size=" + std::to_string(size));
   }

@@ -35,6 +35,14 @@
 
 namespace gpc::sim {
 
+/// True when a `size`-byte access at `addr` does not end at or below
+/// `limit`. Compared without forming addr + size, which wraps to a small
+/// number for an address within `size` bytes of 2^64.
+constexpr bool past_limit(std::uint64_t addr, std::uint64_t size,
+                          std::uint64_t limit) {
+  return size > limit || addr > limit - size;
+}
+
 class DeviceMemory {
  public:
   /// One live allocation, in [base, base + bytes).
@@ -82,6 +90,33 @@ class DeviceMemory {
   /// pointer go out of line.
   std::uint64_t load(std::uint64_t addr, int size) const {
     check(addr, size);
+    return load_unchecked(addr, size);
+  }
+  void store(std::uint64_t addr, std::uint64_t value, int size) {
+    check_store(addr, size);
+    store_unchecked(addr, value, size);
+  }
+
+  /// The batch form of the bounds check for one warp access: true when
+  /// every address is aligned and inside [256, bump pointer), the range
+  /// load_unchecked/store_unchecked may touch. One branch-free pass; on
+  /// false the caller replays the access through load()/store(), which
+  /// fault or raise the dirty extent per lane exactly as before.
+  bool all_below_top(const std::uint64_t* addrs, int n, int size) const {
+    const std::uint64_t last = top_ - size;  // top_ >= 256 > size
+    const std::uint64_t align = static_cast<std::uint64_t>(size) - 1;
+    std::uint64_t bad = 0;
+    for (int i = 0; i < n; ++i) {
+      const std::uint64_t a = addrs[i];
+      bad |= static_cast<std::uint64_t>(a > last) |
+             static_cast<std::uint64_t>(a < 256) | (a & align);
+    }
+    return bad == 0;
+  }
+
+  /// Relaxed 4- or 8-byte access without the bounds check, for addresses
+  /// check() or all_below_top() accepted.
+  std::uint64_t load_unchecked(std::uint64_t addr, int size) const {
     const std::uint8_t* p = base_ + addr;
     if (size == 4) {
       const auto* w = reinterpret_cast<const std::uint32_t*>(p);
@@ -92,8 +127,7 @@ class DeviceMemory {
     return std::atomic_ref<const std::uint64_t>(*w).load(
         std::memory_order_relaxed);
   }
-  void store(std::uint64_t addr, std::uint64_t value, int size) {
-    check_store(addr, size);
+  void store_unchecked(std::uint64_t addr, std::uint64_t value, int size) {
     std::uint8_t* p = base_ + addr;
     if (size == 4) {
       auto* w = reinterpret_cast<std::uint32_t*>(p);
@@ -136,8 +170,7 @@ class DeviceMemory {
  private:
   bool below_top(std::uint64_t addr, int size) const {
     // size is 4 or 8 (a power of two), so alignment is a mask test.
-    return addr + size <= top_ && addr >= 256 &&
-           (addr & (static_cast<std::uint64_t>(size) - 1)) == 0;
+    return all_below_top(&addr, 1, size);
   }
   /// As check(), for stores and atomics: the slow path also raises the
   /// dirty extent over a legal store past the bump pointer.

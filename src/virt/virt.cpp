@@ -98,6 +98,8 @@ TenantStats TenantQueue::stats() const {
   s.quota_rejections = quota_rejections_.load(std::memory_order_relaxed);
   s.mem_used = mem_used_.load(std::memory_order_relaxed);
   s.mem_peak = mem_peak_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lk(mgr_->mu_);
+  s.credits = credits_;
   return s;
 }
 
@@ -192,8 +194,9 @@ void VirtualDeviceManager::refill_credits() {
   // Xen-credit-style refill: when every runnable tenant has exhausted its
   // credits, grant one scheduling round's worth — one slice per runnable
   // tenant — divided proportionally to weight. Debits are the actual
-  // warp-instruction issues a slice consumed, so long-run executed steps
-  // converge to the weight ratios regardless of per-launch granularity.
+  // warp-instruction issues executed while contended, so long-run contended
+  // steps converge to the weight ratios regardless of per-launch
+  // granularity.
   double wsum = 0;
   int runnable = 0;
   for (const auto& t : tenants_) {
@@ -258,8 +261,7 @@ void VirtualDeviceManager::run_slice(std::unique_lock<std::mutex>& lk,
       err = std::current_exception();
     }
     lk.lock();
-    t.credits_ -= static_cast<double>(consumed);
-    t.steps_.fetch_add(consumed, std::memory_order_relaxed);
+    t.steps_.fetch_add(consumed, std::memory_order_relaxed);  // uncontended
     complete(std::move(err));
     return;
   }
@@ -368,7 +370,12 @@ void VirtualDeviceManager::run_slice(std::unique_lock<std::mutex>& lk,
     }
   }
 
-  t.credits_ -= static_cast<double>(consumed);
+  // Only steps executed while another tenant was runnable are debited.
+  // Work done on an otherwise idle device (a neighbour between two of its
+  // launches) costs nothing: debiting it would let a tenant that ran alone
+  // for a few hundred thousand steps sink into a debt it then repays while
+  // contended, starving it far below its weight.
+  t.credits_ -= static_cast<double>(contended_consumed);
   t.steps_.fetch_add(consumed, std::memory_order_relaxed);
   t.contended_steps_.fetch_add(contended_consumed, std::memory_order_relaxed);
 }

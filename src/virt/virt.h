@@ -29,8 +29,9 @@
 //     overhead, exactly like the unsliced launch.
 //   * a CREDIT-BASED FAIR-SHARE SCHEDULER (Xen-credit-style): tenants hold
 //     credits replenished proportionally to their weight and debited by the
-//     warp-instruction issues their slices actually executed; the runnable
-//     tenant with the most credits runs next. The scheduling quantum
+//     warp-instruction issues their slices actually executed while another
+//     tenant was runnable (work on an otherwise idle device is free); the
+//     runnable tenant with the most credits runs next. The scheduling quantum
 //     ("slice", default 50000 warp-instructions) is the same unit as the
 //     PR 2/PR 5 step budget — the preemption tick is the step budget applied
 //     at chunk granularity. The scheduler is work-conserving: a
@@ -128,6 +129,8 @@ struct TenantStats {
   std::uint64_t preemptions = 0;  // slices that checkpointed mid-grid
   std::uint64_t steps = 0;        // warp-instruction issues executed
   std::uint64_t contended_steps = 0;  // ...while >= 2 tenants were runnable
+  /// Scheduler credit balance: refill grants minus contended_steps.
+  double credits = 0;
   std::uint64_t faults = 0;           // failed launches (injected or organic)
   std::uint64_t quota_rejections = 0;  // over-quota allocation attempts
   std::size_t quota_bytes = 0;

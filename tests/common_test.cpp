@@ -4,6 +4,7 @@
 #include <chrono>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -43,6 +44,30 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+TEST(ThreadPool, CountsTheCallingThreadAmongItsThreads) {
+  // ThreadPool(N) is N threads in total: N - 1 workers plus the caller,
+  // which runs indices as slot 0.
+  ThreadPool pool(4);
+  EXPECT_EQ(pool.size(), 3u);
+  EXPECT_EQ(pool.slots(), 4u);
+}
+
+TEST(ThreadPool, EveryIndexRunsExactlyOnceAtEveryCount) {
+  ThreadPool pool(4);
+  for (std::size_t count = 1; count <= 257; ++count) {
+    std::vector<std::atomic<int>> hits(count);
+    std::atomic<bool> slot_in_range{true};
+    pool.parallel_for_slotted(count, [&](std::size_t slot, std::size_t i) {
+      if (slot >= pool.slots()) slot_in_range = false;
+      hits[i]++;
+    });
+    for (std::size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "index " << i << " of " << count;
+    }
+    EXPECT_TRUE(slot_in_range.load()) << count;
+  }
+}
+
 TEST(ThreadPool, PropagatesExceptions) {
   ThreadPool pool(2);
   EXPECT_THROW(pool.parallel_for(
@@ -66,7 +91,7 @@ bool spin_until(const std::atomic<bool>& flag) {
 }  // namespace
 
 TEST(ThreadPool, CancelSkipsUnclaimedChunks) {
-  // The first exception cancels the batch: chunks not yet claimed are
+  // The first exception cancels the batch: indices not yet claimed are
   // skipped (they still count toward completion), so a faulting launch
   // stops the grid instead of grinding through every remaining block.
   ThreadPool pool(2);
@@ -84,8 +109,8 @@ TEST(ThreadPool, CancelSkipsUnclaimedChunks) {
                             spin_until(sibling_started);
                             throw DeviceFault("block 0 faulted");
                           }
-                          // Hold this chunk open until the cancel flag
-                          // arrives, keeping the remaining chunks unclaimed
+                          // Hold this index open until the cancel flag
+                          // arrives, keeping the remaining ones unclaimed
                           // when the batch is cancelled.
                           sibling_started.store(true,
                                                 std::memory_order_relaxed);
@@ -148,9 +173,17 @@ TEST(ThreadPool, CancelledIsFalseOutsideABatch) {
 TEST(ThreadPool, SingleWorkerRunsInline) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.size(), 0u);  // no spawned workers
+  EXPECT_EQ(pool.slots(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
   int sum = 0;
-  pool.parallel_for(10, [&](std::size_t i) { sum += static_cast<int>(i); });
+  bool inline_only = true;
+  pool.parallel_for_slotted(10, [&](std::size_t slot, std::size_t i) {
+    inline_only = inline_only && slot == 0 &&
+                  std::this_thread::get_id() == caller;
+    sum += static_cast<int>(i);
+  });
   EXPECT_EQ(sum, 45);
+  EXPECT_TRUE(inline_only);
 }
 
 TEST(TextTable, FormatsAlignedColumns) {

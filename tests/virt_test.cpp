@@ -7,6 +7,8 @@
 // tools/run_tsan.sh — the credit accounting and job handoff must be clean.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -189,6 +191,36 @@ TEST(VirtDifferentialOcl, SlicedExecutionIsBitIdenticalThroughOpenCL) {
 // ---------------------------------------------------------------------------
 // Fair share
 
+/// A tenant session with one loop-heavy kernel (100 iterations per thread,
+/// 256-thread blocks, a couple of thousand issues per block) compiled.
+class Spinner {
+ public:
+  Spinner(virt::VirtualDeviceManager& mgr, int id)
+      : s_(arch::gtx480(), Toolchain::Cuda, mgr.tenant(id)) {
+    KernelBuilder kb("spin");
+    auto out = kb.ptr_param("out", ir::Type::F32);
+    Var acc = kb.var_f32("acc");
+    kb.set(acc, kb.cf(1.0));
+    Var i = kb.var_s32("i");
+    kb.for_(i, 0, kb.c32(100), 1, Unroll::none(), [&] {
+      kb.set(acc, Val(acc) * kb.cf(1.0000001) + kb.cf(0.5));
+    });
+    kb.st(out, kb.global_id_x(), acc);
+    ck_ = s_.compile(kb.finish());
+    args_ = {sim::KernelArg::ptr(s_.alloc(kMaxBlocks * 256 * 4))};
+  }
+  void launch(int blocks) {
+    ASSERT_LE(blocks, kMaxBlocks);
+    (void)s_.launch(ck_, {blocks, 1, 1}, {256, 1, 1}, args_);
+  }
+
+ private:
+  static constexpr int kMaxBlocks = 256;
+  harness::TenantSession s_;
+  compiler::CompiledKernel ck_;
+  std::vector<sim::KernelArg> args_;
+};
+
 TEST(VirtFairShare, WeightedTenantsSplitContendedStepsByWeight) {
   virt::VirtConfig cfg;
   cfg.tenants = 2;
@@ -201,22 +233,8 @@ TEST(VirtFairShare, WeightedTenantsSplitContendedStepsByWeight) {
   // per launch, dozens of slices) concurrently; the caller-driven scheduler
   // interleaves their slices in credit order.
   auto tenant_loop = [&](int id, int rounds) {
-    harness::TenantSession s(arch::gtx480(), Toolchain::Cuda, mgr.tenant(id));
-    KernelBuilder kb("spin");
-    auto out = kb.ptr_param("out", ir::Type::F32);
-    Var acc = kb.var_f32("acc");
-    kb.set(acc, kb.cf(1.0));
-    Var i = kb.var_s32("i");
-    kb.for_(i, 0, kb.c32(100), 1, Unroll::none(), [&] {
-      kb.set(acc, Val(acc) * kb.cf(1.0000001) + kb.cf(0.5));
-    });
-    kb.st(out, kb.global_id_x(), acc);
-    const auto ck = s.compile(kb.finish());
-    const auto d_out = s.alloc(64 * 256 * 4);
-    const std::vector<sim::KernelArg> args{sim::KernelArg::ptr(d_out)};
-    for (int r = 0; r < rounds; ++r) {
-      (void)s.launch(ck, {64, 1, 1}, {256, 1, 1}, args);
-    }
+    Spinner s(mgr, id);
+    for (int r = 0; r < rounds; ++r) s.launch(64);
   };
   std::thread heavy(tenant_loop, 0, 20);
   std::thread light(tenant_loop, 1, 20);
@@ -236,6 +254,105 @@ TEST(VirtFairShare, WeightedTenantsSplitContendedStepsByWeight) {
   EXPECT_GT(ratio, 1.6) << "heavy tenant did not get its weighted share";
   EXPECT_LT(ratio, 6.0) << "heavy tenant starved the light one";
   EXPECT_GT(st[0].preemptions + st[1].preemptions, 0u);
+}
+
+// Credit debits. Every refill grants each runnable tenant the same amount
+// when weights are equal (one slice), and a refill happens only once every
+// runnable tenant is at or below zero, so the two-round cap never binds:
+// a tenant's balance is always (refills x slice) - debits, exactly.
+
+double debits_mod_slice(const virt::TenantStats& st, std::uint64_t debits,
+                        std::uint64_t slice) {
+  return std::fmod(st.credits + static_cast<double>(debits),
+                   static_cast<double>(slice));
+}
+
+TEST(VirtCredits, UncontendedLaunchesCostNothing) {
+  // Two tenants, but only tenant 0 ever submits: every chunk runs on an
+  // otherwise idle device, so the one refill it got stays whole.
+  virt::VirtConfig cfg;
+  cfg.tenants = 2;
+  cfg.slice = 20'000;
+  virt::VirtualDeviceManager mgr(cfg);
+  Spinner s(mgr, 0);
+  std::uint64_t prev = 0;
+  for (int r = 0; r < 3; ++r) {
+    s.launch(64);  // many slices' worth of issues
+    const virt::TenantStats st = mgr.tenant(0).stats();
+    EXPECT_GT(st.steps, prev + cfg.slice);
+    prev = st.steps;
+    EXPECT_EQ(st.contended_steps, 0u);
+    EXPECT_EQ(st.preemptions, 0u);
+    EXPECT_EQ(st.credits, static_cast<double>(cfg.slice)) << "launch " << r;
+  }
+}
+
+TEST(VirtCredits, ForcedSlicingDebitsEveryStep) {
+  virt::VirtConfig cfg;
+  cfg.tenants = 2;
+  cfg.force_slice = true;
+  cfg.slice = 1'000'000;
+  {
+    // One launch inside one slice: one refill, every issue debited.
+    virt::VirtualDeviceManager mgr(cfg);
+    Spinner s(mgr, 0);
+    s.launch(4);
+    const virt::TenantStats st = mgr.tenant(0).stats();
+    ASSERT_LT(st.steps, cfg.slice);
+    EXPECT_EQ(st.contended_steps, st.steps);
+    EXPECT_EQ(st.credits, static_cast<double>(cfg.slice - st.steps));
+  }
+  cfg.slice = 3'000;
+  {
+    // Preempted at every quantum and refilled after each: the balance is
+    // still refills x slice - every issue.
+    virt::VirtualDeviceManager mgr(cfg);
+    Spinner s(mgr, 0);
+    s.launch(16);
+    const virt::TenantStats st = mgr.tenant(0).stats();
+    EXPECT_GT(st.preemptions, 0u);
+    EXPECT_EQ(st.contended_steps, st.steps);
+    EXPECT_LE(st.credits, static_cast<double>(cfg.slice));
+    EXPECT_EQ(debits_mod_slice(st, st.steps, cfg.slice), 0.0);
+  }
+}
+
+TEST(VirtCredits, OnlyChunksStartedWhileContendedAreDebited) {
+  // Tenant 0 starts alone and keeps submitting until tenant 1 is done;
+  // tenant 1 submits once tenant 0 is inside its first slice. Whenever it
+  // arrives, tenant 0's first chunk was decided uncontended under the
+  // scheduler lock (tenant 1 cannot enqueue until that chunk has started),
+  // so tenant 0 executed free steps; every later chunk of either tenant
+  // that started with both runnable is debited.
+  virt::VirtConfig cfg;
+  cfg.tenants = 2;
+  cfg.slice = 5'000;
+  virt::VirtualDeviceManager mgr(cfg);
+  std::atomic<bool> light_done{false};
+  std::thread heavy([&] {
+    Spinner s(mgr, 0);
+    while (!light_done.load()) s.launch(128);
+  });
+  std::thread light([&] {
+    Spinner s(mgr, 1);
+    while (mgr.tenant(0).stats().slices == 0) std::this_thread::yield();
+    for (int r = 0; r < 4; ++r) s.launch(64);
+    light_done.store(true);
+  });
+  light.join();
+  heavy.join();
+
+  const auto st = mgr.stats();
+  ASSERT_GT(st[0].contended_steps + st[1].contended_steps, 0u)
+      << "the tenants never overlapped";
+  EXPECT_GT(st[0].steps, st[0].contended_steps);
+  for (const virt::TenantStats& t : st) {
+    SCOPED_TRACE("tenant " + std::to_string(t.id));
+    EXPECT_LE(t.credits, static_cast<double>(cfg.slice));
+    EXPECT_EQ(debits_mod_slice(t, t.contended_steps, cfg.slice), 0.0)
+        << "credits " << t.credits << " steps " << t.steps << " contended "
+        << t.contended_steps;
+  }
 }
 
 // ---------------------------------------------------------------------------
